@@ -21,7 +21,7 @@ use gcsids::{
     build_scenario_model, evaluate_scenario_graph, scenario_cost_reward, scenario_impulses,
     DetectionTotals,
 };
-use numerics::replicate::{run_plan_observed, Completed, OutcomeSink, Replicate};
+use numerics::replicate::{run_indexed, run_plan_observed, Completed, OutcomeSink, Replicate};
 use numerics::rng::child_seed;
 use numerics::stats::{SurvivalAccumulator, Welford};
 use spn::error::SpnError;
@@ -946,9 +946,9 @@ impl Backend for MobilityDesBackend {
 }
 
 /// Run replications `0..n` of a stochastic spec and return each one's
-/// summary in index order — the paired engine's inner loop. Replication
-/// `i` runs under `child_seed(master_seed, i)`, exactly the seed the
-/// chunked plan executor hands it, so these outcomes are bit-identical to
+/// summary in index order — the paired engine's inner loop. It runs on the
+/// plan executor itself ([`run_indexed`]), so replication `i` runs under
+/// `child_seed(master_seed, i)` and these outcomes are bit-identical to
 /// the ones a [`Backend::run`] of the same spec aggregates.
 ///
 /// # Errors
@@ -964,11 +964,9 @@ pub(crate) fn per_replication_outcomes(
         master: u64,
         n: u64,
     ) -> Result<Vec<Rep>, EngineError> {
-        (0..n)
-            .map(|i| {
-                task.run_one(child_seed(master, i))
-                    .map_err(EngineError::from)
-            })
+        run_indexed(task, master, n)
+            .into_iter()
+            .map(|o| o.map_err(EngineError::from))
             .collect()
     }
     spec.validate()?;

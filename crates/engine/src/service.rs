@@ -13,7 +13,10 @@
 //!    queue blocks the scanner (backpressure) instead of growing without
 //!    bound.
 //! 3. Workers evaluate each spec through [`crate::Runner::run_cached`]
-//!    and stream results into the results directory:
+//!    — each on its own worker thread, with the spec's inner parallel
+//!    calls (replications) run inline, since specs already run in
+//!    parallel across workers — and stream results into the results
+//!    directory:
 //!    `<name>.report.json` (the [`RunReport`], written atomically) on
 //!    success, `<name>.error.json` on failure, plus
 //!    `<name>.progress.jsonl` with one line per adaptive-sampling round
@@ -513,18 +516,28 @@ pub fn serve(cfg: &ServiceConfig) -> Result<ServiceSummary, EngineError> {
     let rx = Mutex::new(rx);
     let scan_result: Result<(), EngineError> = std::thread::scope(|scope| {
         for _ in 0..cfg.workers.max(1) {
-            scope.spawn(|| loop {
-                // Poison recovery: if a sibling worker panicked while
-                // holding the queue lock, the receiver itself is still
-                // sound — keep draining rather than cascading the panic.
-                let job = match rx.lock().unwrap_or_else(PoisonError::into_inner).recv() {
-                    Ok(job) => job,
-                    Err(_) => break, // scanner hung up and the queue drained
+            scope.spawn(|| {
+                // Specs already run in parallel across the workers, so each
+                // job runs inline on its worker thread: nested parallelism
+                // would only add contention and per-thread allocator arenas.
+                let inline = rayon::ThreadPoolBuilder::new().num_threads(1).build();
+                let run = |job: &Job| match &inline {
+                    Ok(pool) => pool.install(|| process_job(job, &runner, &cfg.results)),
+                    Err(_) => process_job(job, &runner, &cfg.results),
                 };
-                if process_job(&job, &runner, &cfg.results) {
-                    processed.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    failed.fetch_add(1, Ordering::Relaxed);
+                loop {
+                    // Poison recovery: if a sibling worker panicked while
+                    // holding the queue lock, the receiver itself is still
+                    // sound — keep draining rather than cascading the panic.
+                    let job = match rx.lock().unwrap_or_else(PoisonError::into_inner).recv() {
+                        Ok(job) => job,
+                        Err(_) => break, // scanner hung up and the queue drained
+                    };
+                    if run(&job) {
+                        processed.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        failed.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             });
         }

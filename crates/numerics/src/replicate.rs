@@ -8,14 +8,18 @@
 //! * [`Replicate`] — the experiment: `run_one(seed) -> Outcome`, where the
 //!   seed of replication `i` is always [`child_seed`]`(master, i)`.
 //! * [`OutcomeSink`] — streaming, mergeable aggregation. Outcomes are
-//!   folded as they arrive; no caller ever materializes a `Vec` of
-//!   outcomes, so memory stays O(sink), independent of the replication
-//!   count.
+//!   folded window by window; at most one window of outcomes (a fixed
+//!   whole number of chunks) is ever held, so memory stays O(sink + one
+//!   window), independent of the replication count.
 //! * [`SamplingPlan`] — how many replications: a fixed count, or
 //!   sequential (adaptive) sampling that keeps spawning batches until the
 //!   sink's primary confidence interval meets a relative-half-width
 //!   target or a budget cap is reached.
-//! * [`run_plan`] — the batch-parallel executor.
+//! * [`run_plan`] — the parallel executor. Single replications are the
+//!   unit of parallel work: each window's indices are spread over the
+//!   rayon pool, so even a 16-replication plan uses every core.
+//!   [`run_indexed`] runs the same executor but returns the outcomes in
+//!   index order, for callers that pair replications before aggregating.
 //!
 //! # Determinism
 //!
@@ -28,11 +32,13 @@
 //! 2. Aggregation follows a fixed chunk grid over the index space:
 //!    indices `[64k, 64(k+1))` fold in order into a fresh per-chunk sink,
 //!    and completed chunk sinks merge into the master **in chunk order**.
-//!    The sequence of `record`/`merge` operations depends only on the
-//!    total replication count — not on how adaptive rounds partition the
-//!    index space, and not on which worker folded which chunk. An
-//!    in-progress chunk is carried across rounds so a round boundary in
-//!    the middle of a chunk does not change the operation sequence.
+//!    Folding happens on the driving thread after each window's outcomes
+//!    are back, so the sequence of `record`/`merge` operations depends
+//!    only on the total replication count — not on how adaptive rounds
+//!    partition the index space, and not on which worker ran which
+//!    replication. An in-progress chunk is carried across rounds so a
+//!    round boundary in the middle of a chunk does not change the
+//!    operation sequence.
 //!
 //! Consequently `Adaptive` sampling that stops after `n` replications
 //! produces exactly the state `Fixed(n)` would, and the proptests in
@@ -237,63 +243,68 @@ impl<S> Stream<S> {
     }
 }
 
+/// Replications per parallel window: a fixed whole number of chunks, so
+/// the windows tile the chunk grid and peak memory is one window of
+/// outcomes. A constant like [`CHUNK`]; unlike it, changing the value
+/// moves no bits, only the memory/idle-time trade-off.
+const WINDOW: u64 = 4 * CHUNK;
+
+/// Run replications `[from, to)` of `task` over the thread pool, one
+/// window at a time, handing each window's outcomes to `fold` in index
+/// order.
+fn run_windows<R, F>(task: &R, master_seed: u64, from: u64, to: u64, mut fold: F)
+where
+    R: Replicate + ?Sized,
+    F: FnMut(Vec<R::Outcome>),
+{
+    let mut a = from;
+    while a < to {
+        let b = to.min((a / WINDOW + 1) * WINDOW);
+        let outcomes: Vec<R::Outcome> = (a..b)
+            .into_par_iter()
+            .map(|i| task.run_one(child_seed(master_seed, i)))
+            .collect();
+        fold(outcomes);
+        a = b;
+    }
+}
+
 /// Extend the stream with replications `[state.next, to)` of `task`.
+///
+/// Outcomes are produced in parallel but folded on this thread in index
+/// order: each chunk's records go into its own sink (carried across calls
+/// while the chunk is incomplete), and every completed chunk merges into
+/// the master in chunk order — exactly the operation sequence of one
+/// uninterrupted sequential run.
 fn extend<R, S, F>(task: &R, master_seed: u64, state: &mut Stream<S>, to: u64, new_sink: &F)
 where
     R: Replicate + ?Sized,
     S: OutcomeSink<R::Outcome>,
-    F: Fn() -> S + Sync,
+    F: Fn() -> S,
 {
-    // 1. Finish the chunk already in progress (sequential records on the
-    //    carried-over sink keep the operation sequence identical to a
-    //    single uninterrupted run).
-    if !state.next.is_multiple_of(CHUNK) && state.next < to {
-        let b = to.min((state.next / CHUNK + 1) * CHUNK);
-        let outcomes: Vec<R::Outcome> = (state.next..b)
-            .into_par_iter()
-            .map(|i| task.run_one(child_seed(master_seed, i)))
-            .collect();
-        let partial = state
-            .partial
-            .as_mut()
-            .expect("mid-chunk position implies an in-progress sink");
+    run_windows(task, master_seed, state.next, to, |outcomes| {
         for o in outcomes {
-            partial.record(o);
-        }
-        state.next = b;
-        if b.is_multiple_of(CHUNK) {
-            let full = state.partial.take().expect("just recorded into it");
-            state.absorb_chunk(full);
-        }
-    }
-    // 2. Remaining grid-aligned chunks fold independently (each worker
-    //    owns a chunk and its private sink) and merge in chunk order.
-    if state.next < to {
-        let pieces: Vec<(u64, u64)> = (state.next..to)
-            .step_by(CHUNK as usize)
-            .map(|a| (a, to.min(a + CHUNK)))
-            .collect();
-        let sinks: Vec<S> = pieces
-            .par_iter()
-            .map(|&(a, b)| {
-                let mut s = new_sink();
-                for i in a..b {
-                    s.record(task.run_one(child_seed(master_seed, i)));
-                }
-                s
-            })
-            .collect();
-        for (&(_, b), s) in pieces.iter().zip(sinks) {
-            if b.is_multiple_of(CHUNK) {
-                state.absorb_chunk(s);
-            } else {
-                // Only the trailing piece can be partial; it becomes the
-                // carried-over in-progress chunk.
-                state.partial = Some(s);
+            state.partial.get_or_insert_with(new_sink).record(o);
+            state.next += 1;
+            if state.next.is_multiple_of(CHUNK) {
+                let full = state.partial.take().expect("just recorded into it");
+                state.absorb_chunk(full);
             }
         }
-        state.next = to;
-    }
+    });
+}
+
+/// Outcomes of replications `0..n` of `task`, in index order, computed on
+/// the same executor as [`run_plan`] (replication `i` runs under
+/// `child_seed(master_seed, i)`) — for callers that must pair outcomes
+/// index by index before aggregating. Memory is O(n) outcomes.
+pub fn run_indexed<R>(task: &R, master_seed: u64, n: u64) -> Vec<R::Outcome>
+where
+    R: Replicate + ?Sized,
+{
+    let mut all = Vec::with_capacity(usize::try_from(n).unwrap_or(0));
+    run_windows(task, master_seed, 0, n, |window| all.extend(window));
+    all
 }
 
 /// Drive `plan` over `task`, folding outcomes into sinks produced by
@@ -314,7 +325,7 @@ pub fn run_plan<R, S, F>(
 where
     R: Replicate + ?Sized,
     S: OutcomeSink<R::Outcome>,
-    F: Fn() -> S + Sync,
+    F: Fn() -> S,
 {
     run_plan_observed(task, plan, master_seed, new_sink, &mut |_, _| {})
 }
@@ -340,7 +351,7 @@ pub fn run_plan_observed<R, S, F>(
 where
     R: Replicate + ?Sized,
     S: OutcomeSink<R::Outcome>,
-    F: Fn() -> S + Sync,
+    F: Fn() -> S,
 {
     plan.validate().expect("invalid sampling plan");
     let mut state: Stream<S> = Stream::new();

@@ -2,13 +2,14 @@
 //! `Fixed(n)` results are bit-identical however the index space is
 //! partitioned into adaptive rounds (the "batch size" axis) or folded by
 //! workers (the chunk grid is fixed, so thread partitioning cannot move a
-//! record between sinks), and `Adaptive` plans honor their budget and
-//! their claimed precision.
+//! record between sinks) at any thread count, and `Adaptive` plans honor
+//! their budget and their claimed precision.
 
 use numerics::replicate::{run_plan, OutcomeSink, Replicate, SamplingPlan};
-use numerics::rng::SplitMix64;
+use numerics::rng::{child_seed, SplitMix64};
 use numerics::stats::{SurvivalAccumulator, Welford};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Toy experiment shaped like the simulators' outcomes: a pseudo-random
 /// "failure time" plus a censoring flag.
@@ -145,6 +146,125 @@ proptest! {
             }
             Some(false) => prop_assert_eq!(done.replications, max),
             None => prop_assert!(false, "adaptive must carry a verdict"),
+        }
+    }
+}
+
+/// Replication counts around the 64-wide chunk grid and the multi-chunk
+/// parallel window: a lone replication, a partial chunk, exactly one
+/// chunk, one past it, and several windows with a partial tail.
+const COUNTS: [u64; 5] = [1, 16, 64, 65, 1_100];
+
+/// Run `f` with the replication pool pinned to `threads` threads.
+fn at_threads<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("the pool builds")
+        .install(f)
+}
+
+/// An adaptive plan that never meets its target, so it walks `[0, n)` in
+/// rounds whose boundaries fall mid-chunk.
+fn uneven_rounds(n: u64) -> SamplingPlan {
+    SamplingPlan::Adaptive {
+        target_rel_halfwidth: 1e-12,
+        min: n.div_ceil(3),
+        max: n,
+        batch: 37,
+    }
+}
+
+#[test]
+fn sinks_bit_identical_across_thread_counts() {
+    let task = FakeSim { horizon: 120.0 };
+    for n in COUNTS {
+        let reference = at_threads(1, || {
+            run_plan(&task, &SamplingPlan::Fixed(n), 5, StatSink::new)
+        });
+        for threads in [1, 2, 8] {
+            for plan in [SamplingPlan::Fixed(n), uneven_rounds(n)] {
+                let done = at_threads(threads, || run_plan(&task, &plan, 5, StatSink::new));
+                assert_eq!(done.replications, n);
+                assert_eq!(
+                    done.sink, reference.sink,
+                    "n={n} threads={threads} {plan:?}"
+                );
+            }
+        }
+    }
+}
+
+/// Replication whose outcome is its own index, recovered from the seed.
+struct IndexTask {
+    index_of: BTreeMap<u64, u64>,
+}
+
+impl IndexTask {
+    fn new(master: u64, n: u64) -> Self {
+        Self {
+            index_of: (0..n).map(|i| (child_seed(master, i), i)).collect(),
+        }
+    }
+}
+
+impl Replicate for IndexTask {
+    type Outcome = u64;
+
+    fn run_one(&self, seed: u64) -> u64 {
+        self.index_of[&seed]
+    }
+}
+
+/// Records the index sequence and asserts the executor's fold order as it
+/// happens: a sink records only consecutive indices of one chunk, and a
+/// merge only appends the chunk-aligned range that immediately follows.
+#[derive(Clone, Debug, Default)]
+struct OrderSink {
+    indices: Vec<u64>,
+    merged: bool,
+}
+
+impl OutcomeSink<u64> for OrderSink {
+    fn record(&mut self, i: u64) {
+        assert!(!self.merged, "record {i} into a sink that already merged");
+        if let Some(&first) = self.indices.first() {
+            assert_eq!(i, first + self.indices.len() as u64, "records out of order");
+            assert_eq!(i / 64, first / 64, "record {i} crosses a chunk boundary");
+        }
+        self.indices.push(i);
+    }
+
+    fn merge(&mut self, other: Self) {
+        let next = self.indices.last().map_or(0, |&l| l + 1);
+        assert_eq!(
+            other.indices.first(),
+            Some(&next),
+            "chunks merged out of order"
+        );
+        assert_eq!(next % 64, 0, "merged range starts off the chunk grid");
+        self.indices.extend(other.indices);
+        self.merged = true;
+    }
+
+    fn precision(&self) -> Option<f64> {
+        None
+    }
+}
+
+#[test]
+fn fold_order_follows_the_chunk_grid_at_every_thread_count() {
+    for n in COUNTS {
+        let task = IndexTask::new(9, n);
+        for threads in [1, 2, 8] {
+            for plan in [SamplingPlan::Fixed(n), uneven_rounds(n)] {
+                let done = at_threads(threads, || run_plan(&task, &plan, 9, OrderSink::default));
+                assert_eq!(
+                    done.sink.indices,
+                    (0..n).collect::<Vec<_>>(),
+                    "n={n} threads={threads}"
+                );
+            }
         }
     }
 }

@@ -173,27 +173,26 @@ proptest! {
     }
 }
 
-/// (b) Survival curves are bit-identical at every thread count. 600
-/// transient states puts the chain over the engine's parallel threshold,
-/// so 1 thread runs the sequential kernel and 2/8 run the chunked
-/// parallel one — all three must agree to the last bit. Not a proptest:
-/// `RAYON_NUM_THREADS` is process-global, and the chain must be big
-/// enough to actually engage the parallel path.
+/// (b) Survival curves are bit-identical at every thread count: the
+/// kernel is sequential, and nothing in a sweep may read the pool size.
+/// Threads are pinned per call with `install`, so the test touches no
+/// process-global state.
 #[test]
 fn survival_is_bit_identical_across_thread_counts() {
     let net = death_net(600, 0.5, true);
     let graph = explore(&net, &ExploreOptions::default()).unwrap();
     let ctmc = Ctmc::from_graph(&graph).unwrap();
     let times = [0.4, 1.1, 2.3];
-    let curve_at = |threads: &str| {
-        std::env::set_var("RAYON_NUM_THREADS", threads);
-        let curve = ctmc.survival_curve(&times, &TransientOptions::default());
-        std::env::remove_var("RAYON_NUM_THREADS");
-        curve
+    let curve_at = |threads: usize| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(|| ctmc.survival_curve(&times, &TransientOptions::default()))
     };
-    let c1 = curve_at("1");
-    let c2 = curve_at("2");
-    let c8 = curve_at("8");
+    let c1 = curve_at(1);
+    let c2 = curve_at(2);
+    let c8 = curve_at(8);
     assert!(
         c1[0] > 0.0 && c1[0] < 1.0,
         "grid must hit a nontrivial regime"

@@ -9,7 +9,8 @@
 //! change in the backends or the pairing, not noise. The same fixture
 //! pins the headline acceptance number: at an identical replication
 //! budget, the paired Δ-interval is tighter than differencing two
-//! independent runs (see `results/paired_ab.md`).
+//! independent runs (see the `paired_halfwidth` and `unpaired_halfwidth`
+//! fields of `fixtures/comparisons/ab-baseline-vs-burst-des.json`).
 //!
 //! Regenerate after an intentional change with:
 //! `cargo test -p integration-tests regenerate_comparison_fixtures -- --ignored`
