@@ -69,35 +69,29 @@ fn clean_fixtures_have_zero_findings() {
 /// structure guarantees bit-identical results) and still fires one line
 /// over in the same crate.
 #[test]
-fn d004_sparse_kernel_carveout_is_one_file_wide() {
+fn d004_has_no_sparse_kernel_carveout() {
+    // The sequential gather-matvec kernels need no exemption: a
+    // gather-shaped parallel reduction fires D004 in `sparse.rs` exactly
+    // as it does anywhere else.
     let text = fixture("d004_violating_gather.rs");
-    let inside = scan_source("crates/numerics/src/sparse.rs", &text);
-    assert!(
-        inside.findings.iter().all(|f| f.rule != Rule::D004),
-        "sparse.rs is the blessed gather-kernel location"
-    );
     for path in [
+        "crates/numerics/src/sparse.rs",
         "crates/numerics/src/stats.rs",
         "crates/spn/src/transient.rs",
     ] {
-        let outside = scan_source(path, &text);
+        let found = scan_source(path, &text);
         assert_eq!(
-            outside
+            found
                 .findings
                 .iter()
                 .filter(|f| f.rule == Rule::D004)
                 .count(),
             1,
-            "{path}: gather-shaped par reduction must still fire"
+            "{path}: gather-shaped par reduction must fire"
         );
     }
-    // The carve-out removes D004 only — wall-clock and RNG rules still
-    // apply to the kernel file.
     let rules = analysis::rules::rules_for_path("crates/numerics/src/sparse.rs");
-    assert!(!rules.contains(&Rule::D004));
-    assert!(rules.contains(&Rule::D001));
-    assert!(rules.contains(&Rule::D002));
-    assert!(rules.contains(&Rule::D003));
+    assert!(rules.contains(&Rule::D004));
 }
 
 #[test]

@@ -1,10 +1,13 @@
-//! Ablation: serial vs rayon-parallel Monte-Carlo replications and figure
-//! sweeps (DESIGN.md §6).
+//! Ablation: serial vs pool-parallel Monte-Carlo replications of the
+//! protocol DES (the parallel side runs on the shared replication
+//! executor).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gcsids::config::SystemConfig;
-use gcsids::des::{run_des, run_des_replications, DesConfig};
+use gcsids::des::{run_des, DesConfig};
+use numerics::replicate::run_indexed;
 use numerics::rng::child_seed;
+use numerics::stats::Welford;
 use std::hint::black_box;
 
 fn hot_cfg() -> DesConfig {
@@ -29,7 +32,13 @@ fn bench_replications(c: &mut Criterion) {
         })
     });
     g.bench_function("rayon", |b| {
-        b.iter(|| run_des_replications(black_box(&cfg), 64, 7).mttsf.mean())
+        b.iter(|| {
+            let mut time = Welford::new();
+            for o in run_indexed(black_box(&cfg), 7, 64) {
+                time.push(o.time);
+            }
+            time.mean()
+        })
     });
     g.finish();
 }

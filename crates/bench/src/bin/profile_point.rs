@@ -1,7 +1,9 @@
 //! Profiling aid: per-stage timings of one exact evaluation (rate
 //! re-evaluation, per-state cost rewards, CTMC assembly, absorption solve)
-//! at increasing system sizes, a head-to-head of the legacy per-point
-//! sweep path against the rebuild-free template path, a lumped-vs-unlumped
+//! at increasing system sizes, one sweep point on the rebuild-free
+//! template path (the clone-and-re-weight `legacy_point` stage it was once
+//! compared against was removed with `ReachabilityGraph::reweighted`;
+//! its historical rows stay in the results file), a lumped-vs-unlumped
 //! head-to-head on clustered deployments (plus the 120-node lumped-only
 //! point the unlumped path cannot reach), and replication throughput
 //! (reps/sec) of the three stochastic backends through the shared
@@ -83,31 +85,18 @@ fn exact_profile() -> Vec<Value> {
         let a = ctmc.mean_time_to_absorption().unwrap();
         let t_solve = t0.elapsed();
 
-        // Head-to-head on a rate-only variant (a different detection
-        // interval — one point of a fig2 sweep).
+        // One point of a fig2 sweep: a rate-only variant (a different
+        // detection interval) on the rebuild-free path — pooled scratch,
+        // in-place re-weight, value-only refresh, solve. First call warms
+        // the scratch pool; time the steady-state second call.
         let hot = cfg.with_tids(60.0);
-        let hot_model = build_model(&hot);
-
-        // Legacy per-point path: clone + re-weight the whole graph, rebuild
-        // the CSR from triplets, solve.
-        let t0 = Instant::now();
-        let legacy = {
-            let g = graph.reweighted(&hot_model.net).unwrap();
-            Ctmc::from_graph(&g)
-                .unwrap()
-                .mean_time_to_absorption()
-                .unwrap()
-        };
-        let t_legacy_point = t0.elapsed();
-
-        // Rebuild-free path: pooled scratch, in-place re-weight, value-only
-        // refresh, solve. First call warms the scratch pool; time the
-        // steady-state second call.
         template.evaluate(&hot).unwrap();
         let t0 = Instant::now();
         let e = template.evaluate(&hot).unwrap();
         let t_template_point = t0.elapsed();
-        assert!((legacy.mtta - e.mttsf_seconds).abs() <= 1e-9 * legacy.mtta);
+        // The template point must agree with a fresh exploration.
+        let fresh = gcsids::metrics::evaluate(&hot).unwrap();
+        assert!((fresh.mttsf_seconds - e.mttsf_seconds).abs() <= 1e-9 * fresh.mttsf_seconds);
 
         // Transient cost scales with q·t_max: time the mission-survival
         // sweep at a day-scale horizon (the regime the crossval harness
@@ -121,7 +110,7 @@ fn exact_profile() -> Vec<Value> {
         println!(
             "N={n}: explore+pattern={t_template:?} rates={t_rates:?} cost={t_cost:?} \
              ctmc_build={t_build:?} solve={t_solve:?} \
-             legacy_point={t_legacy_point:?} template_point={t_template_point:?} \
+             template_point={t_template_point:?} \
              survival5pt@0.05mtta={t_survival:?} (mtta={:.3e}, S(end)={:.4}, acc={acc:.1}, \
              matvecs={}, nt={}, na={}, detect={:?}, early_exit={})",
             a.mtta,
@@ -147,10 +136,6 @@ fn exact_profile() -> Vec<Value> {
                     ("cost_seconds", Value::Num(t_cost.as_secs_f64())),
                     ("ctmc_build_seconds", Value::Num(t_build.as_secs_f64())),
                     ("solve_seconds", Value::Num(t_solve.as_secs_f64())),
-                    (
-                        "legacy_point_seconds",
-                        Value::Num(t_legacy_point.as_secs_f64()),
-                    ),
                     (
                         "template_point_seconds",
                         Value::Num(t_template_point.as_secs_f64()),

@@ -1,8 +1,8 @@
 //! The communication-cost model (the paper's Ĉtotal components).
 //!
 //! The paper defines `Ĉtotal,i = ĈGC,i + Ĉstatus,i + Ĉrekey,i + ĈIDS,i +
-//! Ĉbeacon,i + Ĉmp,i` but omits the algebra; DESIGN.md §2.5 documents the
-//! reconstruction implemented here. All quantities are **hop·bits per
+//! Ĉbeacon,i + Ĉmp,i` but omits the algebra; this module reconstructs it,
+//! one documented function per component. All quantities are **hop·bits per
 //! second**: a unicast of `L` bits crossing `h` hops costs `h·L`; an
 //! intra-group flood costs one transmission per member.
 

@@ -15,7 +15,7 @@
 //! tests and runs in the cross-backend validation harness only on request
 //! (`runner --mobility`; see `engine::crossval`). It serves as the
 //! ground-truth check that the birth–death abstraction in the SPN/DES does
-//! not distort MTTSF (EXPERIMENTS.md §6).
+//! not distort MTTSF.
 
 use crate::config::SystemConfig;
 use crate::cost::gdh_rekey_hop_bits;
@@ -23,8 +23,7 @@ use crate::des::FailureCause;
 use crate::scenario_model::scenario_system;
 use ids::voting::{run_vote_with_collusion, CollusionModel, VotingConfig};
 use manet::{ConnectivityGraph, MobilityConfig, RandomWaypoint};
-use numerics::replicate::{run_plan, OutcomeSink, Replicate, SamplingPlan};
-use numerics::stats::Welford;
+use numerics::replicate::Replicate;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -344,109 +343,12 @@ fn any_component_byzantine(graph: &ConnectivityGraph, status: &[St]) -> bool {
         .any(|(&t, &u)| t + u > 0 && 2 * u > t)
 }
 
-/// Aggregate over parallel replications.
-#[derive(Debug, Clone)]
-pub struct MobilityDesStats {
-    /// Time-to-failure statistics (non-censored runs).
-    pub mttsf: Welford,
-    /// Observed partition-rate statistics (events per second).
-    pub partition_rate: Welford,
-    /// C1 failures.
-    pub c1_failures: u64,
-    /// C2 failures.
-    pub c2_failures: u64,
-    /// Censored runs.
-    pub censored: u64,
-}
-
 impl Replicate for MobilityDesConfig {
     type Outcome = MobilityDesOutcome;
 
     fn run_one(&self, seed: u64) -> MobilityDesOutcome {
         run_mobility_des(self, seed)
     }
-}
-
-/// Streaming [`MobilityDesOutcome`] aggregation for the shared replication
-/// engine (no outcome `Vec`).
-#[derive(Clone)]
-struct MobilitySink {
-    stats: MobilityDesStats,
-    confidence: f64,
-}
-
-impl MobilitySink {
-    fn new(confidence: f64) -> Self {
-        Self {
-            stats: MobilityDesStats {
-                mttsf: Welford::new(),
-                partition_rate: Welford::new(),
-                c1_failures: 0,
-                c2_failures: 0,
-                censored: 0,
-            },
-            confidence,
-        }
-    }
-}
-
-impl OutcomeSink<MobilityDesOutcome> for MobilitySink {
-    fn record(&mut self, o: MobilityDesOutcome) {
-        let s = &mut self.stats;
-        if o.time > 0.0 {
-            s.partition_rate.push(o.partitions as f64 / o.time);
-        }
-        match o.cause {
-            FailureCause::DataLeak => {
-                s.c1_failures += 1;
-                s.mttsf.push(o.time);
-            }
-            FailureCause::ByzantineCapture | FailureCause::Attrition => {
-                s.c2_failures += 1;
-                s.mttsf.push(o.time);
-            }
-            FailureCause::Censored => s.censored += 1,
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        let (s, o) = (&mut self.stats, other.stats);
-        s.mttsf.merge(&o.mttsf);
-        s.partition_rate.merge(&o.partition_rate);
-        s.c1_failures += o.c1_failures;
-        s.c2_failures += o.c2_failures;
-        s.censored += o.censored;
-    }
-
-    fn precision(&self) -> Option<f64> {
-        self.stats.mttsf.relative_precision(self.confidence)
-    }
-}
-
-/// Run a [`SamplingPlan`] through the shared replication engine (adaptive
-/// plans stop on the MTTSF CI's relative half-width at `confidence`).
-/// Returns the stats plus the adaptive verdict (`None` for fixed plans).
-///
-/// # Panics
-/// Panics on an invalid plan (see [`SamplingPlan::validate`]).
-pub fn run_mobility_des_sampled(
-    cfg: &MobilityDesConfig,
-    plan: &SamplingPlan,
-    master_seed: u64,
-    confidence: f64,
-) -> (MobilityDesStats, Option<bool>) {
-    let done = run_plan(cfg, plan, master_seed, || MobilitySink::new(confidence));
-    (done.sink.stats, done.target_met)
-}
-
-/// Run `n` replications in parallel (a fixed [`SamplingPlan`] through the
-/// shared replication engine).
-pub fn run_mobility_des_replications(
-    cfg: &MobilityDesConfig,
-    n: u64,
-    master_seed: u64,
-) -> MobilityDesStats {
-    run_mobility_des_sampled(cfg, &SamplingPlan::Fixed(n), master_seed, 0.95).0
 }
 
 #[cfg(test)]
@@ -497,13 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn replications_aggregate() {
-        let stats = run_mobility_des_replications(&hot(), 8, 11);
-        assert_eq!(stats.c1_failures + stats.c2_failures + stats.censored, 8);
-        assert!(stats.mttsf.count() > 0);
-    }
-
-    #[test]
     fn scenario_deterministic_and_burst_changes_outcome() {
         let mut cfg = hot();
         cfg.scenario.attacker = AttackerStrategy::Burst {
@@ -519,18 +414,6 @@ mod tests {
         // the burst phase draws perturb the event stream vs baseline
         let base = run_mobility_des(&hot(), 17);
         assert!(a.time != base.time || a.hop_bits != base.hop_bits);
-    }
-
-    #[test]
-    fn targeted_attacker_does_not_outlive_baseline() {
-        let mut cfg = hot();
-        cfg.scenario.attacker = AttackerStrategy::Targeted { focus: 1.0 };
-        let t = run_mobility_des_replications(&cfg, 6, 3);
-        let b = run_mobility_des_replications(&hot(), 6, 3);
-        // with full-collusion defaults the capture multiplier is the lever;
-        // a small sample still should not show the targeted attacker losing
-        assert!(t.mttsf.mean() <= b.mttsf.mean() * 1.5);
-        assert!(t.mttsf.count() + t.censored == 6);
     }
 
     #[test]

@@ -56,13 +56,8 @@ pub use clustered::{
 };
 pub use config::{ClusterTopology, SystemConfig};
 pub use cost::CostBreakdown;
-pub use des::{
-    mission_success_probability, run_des_sampled, survival_curve, DesConfig, DesOutcome,
-    FailureCause, SampledDesStats,
-};
-pub use des_mobility::{
-    run_mobility_des, run_mobility_des_sampled, MobilityDesConfig, MobilityDesOutcome,
-};
+pub use des::{DesConfig, DesOutcome, FailureCause};
+pub use des_mobility::{run_mobility_des, MobilityDesConfig, MobilityDesOutcome};
 pub use metrics::{evaluate, Evaluation};
 pub use model::{build_clustered_model, clustered_canonicalizer, ClusteredModel};
 pub use pareto::{design_space, pareto_front, DesignPoint};

@@ -3,7 +3,8 @@
 //! Marking layout (places): `Tm` trusted members, `UCm` compromised but
 //! undetected, `DCm` detected (evicted), `GF` data-leak failure flag, `NG`
 //! number of groups. `Tm`/`UCm`/`DCm` hold *system-wide* counts; per-group
-//! quantities divide by `mark(NG)` (DESIGN.md §2.1).
+//! quantities divide by `mark(NG)` (groups are taken as equal-sized, so
+//! each holds a `1/NG` share of every system-wide count).
 //!
 //! | transition | effect | rate |
 //! |---|---|---|

@@ -382,10 +382,12 @@ pub struct RunReport {
     pub replications: Option<u64>,
     /// Replications censored by the time horizon (stochastic backends only).
     pub censored: Option<u64>,
-    /// Of the censored replications, how many had zero duration
-    /// (censored-at-zero: an empty observation window contributes no cost
-    /// or failure-time sample — see `gcsids::des::DesStats::zero_duration`).
-    /// Stochastic backends only.
+    /// Of the censored replications, how many had zero duration, counted
+    /// as censored-at-zero. Such a replication observed nothing: its cost
+    /// rate of `0.0` is an artifact of the empty observation window, not a
+    /// measurement, so it is excluded from `c_total` (and has no failure
+    /// time for `mttsf`) and reported here instead of silently dragging
+    /// the means down. Stochastic backends only.
     pub zero_duration: Option<u64>,
     /// Adaptive-sampling verdict: `Some(true)` when the MTTSF CI met the
     /// requested relative half-width target, `Some(false)` when the

@@ -17,7 +17,7 @@
 //!    calls (replications) run inline, since specs already run in
 //!    parallel across workers — and stream results into the results
 //!    directory:
-//!    `<name>.report.json` (the [`RunReport`], written atomically) on
+//!    `<name>.report.json` (the [`crate::RunReport`], written atomically) on
 //!    success, `<name>.error.json` on failure, plus
 //!    `<name>.progress.jsonl` with one line per adaptive-sampling round
 //!    (`{"precision":…,"replications":…}`) while a stochastic evaluation

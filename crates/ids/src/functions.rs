@@ -4,7 +4,7 @@
 //! invocation rate with three shapes — logarithmic, linear, polynomial —
 //! parameterized by a base index `p` (the paper uses `p = 3`). The paper's
 //! literal `log_p(x)` would vanish at the base point `x = 1`, so all three
-//! shapes are normalized to pass through `f(1) = 1` (DESIGN.md §2.2):
+//! shapes are normalized to pass through `f(1) = 1`:
 //!
 //! ```text
 //! f_log(x)  = log_p((p−1)·x + 1)      concave, slowest growth

@@ -11,11 +11,11 @@
 //!   (`⌈m/2⌉`) of *evict* votes expels it via rekeying. Compromised voters
 //!   collude — they vote to evict good targets and to keep bad ones. The
 //!   module provides both an executable voting round for the simulator and
-//!   the exact analytic `Pfp`/`Pfn` (the paper's Equation 1, reconstructed
-//!   in DESIGN.md §2.3) as hypergeometric–binomial tail sums.
+//!   the exact analytic `Pfp`/`Pfn` (a reconstruction of the paper's
+//!   Equation 1) as hypergeometric–binomial tail sums.
 //! * **Attacker / detection rate functions** ([`functions`]): logarithmic,
 //!   linear, and polynomial shapes normalized to the base rate at the
-//!   initial state (DESIGN.md §2.2).
+//!   initial state.
 //! * **Adaptive control** ([`adaptive`]): classifies the attacker shape
 //!   from observed compromise times and selects the matching detection
 //!   function and optimal base interval — the paper's proposed dynamic

@@ -1,7 +1,7 @@
 //! Voting-based IDS: executable voting rounds and the exact analytic
 //! false-positive / false-negative probabilities (the paper's Equation 1).
 //!
-//! # The analytic model (DESIGN.md §2.3)
+//! # The analytic model
 //!
 //! A target is judged by `m` vote participants drawn uniformly *without
 //! replacement* from the other group members. With `G` good and `B` bad

@@ -27,8 +27,8 @@ pub struct MobilityConfig {
 
 impl Default for MobilityConfig {
     fn default() -> Self {
-        // Dismounted-unit speeds; see DESIGN.md §2.4 (the paper does not
-        // publish its speed settings).
+        // Dismounted-unit speeds: the paper does not publish its speed
+        // settings, so these are this reproduction's assumption.
         Self {
             node_count: 100,
             area_radius: 500.0,

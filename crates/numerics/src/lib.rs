@@ -16,7 +16,6 @@
 //! * [`sparse`] — compressed sparse row matrices.
 //! * [`linsolve`] — stationary iterative solvers (Jacobi, Gauss–Seidel, SOR),
 //!   a dense-LU fallback and power iteration.
-//! * [`search`] — grid and golden-section extremum search.
 //! * [`unionfind`] — disjoint-set forest.
 //! * [`rng`] — SplitMix64 seed derivation for deterministic parallel streams.
 //! * [`replicate`] — the shared Monte-Carlo replication engine: a
@@ -37,7 +36,6 @@ pub mod foxglynn;
 pub mod linsolve;
 pub mod replicate;
 pub mod rng;
-pub mod search;
 pub mod sparse;
 pub mod special;
 pub mod stats;

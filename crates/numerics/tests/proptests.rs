@@ -3,7 +3,6 @@
 
 use numerics::dist::{Binomial, Hypergeometric, Poisson};
 use numerics::linsolve::{dense_lu_solve, gauss_seidel, IterConfig};
-use numerics::search::{golden_section_max, log_space};
 use numerics::sparse::Triplets;
 use numerics::special::{ln_binomial, ln_gamma, log_add_exp, norm_cdf, norm_quantile};
 use numerics::stats::{KahanSum, Welford};
@@ -191,24 +190,6 @@ proptest! {
             let exact: f64 = (0..m).map(|c| dense[r][c] * x[c]).sum();
             prop_assert!((y[r] - exact).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn golden_section_finds_quadratic_peak(center in -4.0f64..4.0) {
-        let e = golden_section_max(-10.0, 10.0, 1e-9, |x| -(x - center) * (x - center));
-        prop_assert!((e.x - center).abs() < 1e-5);
-    }
-
-    #[test]
-    fn log_space_is_sorted_and_bounded(lo in 0.001f64..10.0, factor in 1.1f64..1000.0, n in 2usize..40) {
-        let hi = lo * factor;
-        let g = log_space(lo, hi, n);
-        prop_assert_eq!(g.len(), n);
-        for w in g.windows(2) {
-            prop_assert!(w[0] < w[1] + 1e-15);
-        }
-        prop_assert!((g[0] - lo).abs() < 1e-9 * lo);
-        prop_assert!((g[n - 1] - hi).abs() < 1e-9 * hi);
     }
 
     #[test]

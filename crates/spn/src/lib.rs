@@ -60,6 +60,6 @@ pub use error::SpnError;
 pub use model::{Marking, PlaceId, Spn, SpnBuilder, TransitionDef, TransitionId};
 pub use reach::{explore, ExploreOptions, ReachabilityGraph};
 pub use reward::{ImpulseReward, RateReward, RewardSet};
-pub use sim::{ReplicationStats, SimOptions, SimOutcome, Simulator};
+pub use sim::{SimOptions, SimOutcome, Simulator};
 pub use structural::{analyze as structural_analyze, StructuralReport};
 pub use transient::{TransientEngine, TransientStats};

@@ -4,15 +4,15 @@
 //! the exponential race among enabled timed transitions, advances time,
 //! accrues rate rewards, fires, resolves any enabled immediate transitions
 //! (priority then weighted choice), and repeats until an absorbing marking
-//! or a time/step cap. Replications run in parallel under rayon with
-//! deterministic per-replication seeds, providing an independent check of
-//! the analytic CTMC solvers (EXPERIMENTS.md records the agreement).
+//! or a time/step cap. [`Simulator`] implements
+//! [`numerics::replicate::Replicate`], so replications run on the shared
+//! parallel executor with deterministic per-replication seeds, providing
+//! an independent check of the analytic CTMC solvers.
 
 use crate::error::SpnError;
 use crate::model::{Marking, Spn, TransitionId};
 use crate::reward::RewardSet;
-use numerics::replicate::{run_plan, OutcomeSink, Replicate, SamplingPlan};
-use numerics::stats::{ConfidenceInterval, Welford};
+use numerics::replicate::Replicate;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -57,120 +57,6 @@ pub struct SimOutcome {
     pub first_firings: HashMap<TransitionId, f64>,
     /// Final marking.
     pub final_marking: Marking,
-}
-
-/// Aggregated statistics over replications.
-#[derive(Debug, Clone)]
-pub struct ReplicationStats {
-    /// Time-to-absorption statistics (absorbed replications only).
-    pub time_to_absorption: Welford,
-    /// Per-reward accumulated statistics (all replications).
-    pub accumulated: Vec<Welford>,
-    /// Number of censored (non-absorbed) replications.
-    pub censored: u64,
-    /// Total replications.
-    pub replications: u64,
-}
-
-impl ReplicationStats {
-    /// Confidence interval on the mean time to absorption.
-    pub fn mtta_ci(&self, level: f64) -> ConfidenceInterval {
-        self.time_to_absorption.confidence_interval(level)
-    }
-}
-
-/// [`ReplicationStats`] plus the adaptive-sampling verdict of a
-/// [`Simulator::run_sampled`] run.
-#[derive(Debug, Clone)]
-pub struct SampledStats {
-    /// The aggregate statistics (`replications` records the count actually
-    /// run, which an adaptive plan chooses at runtime).
-    pub stats: ReplicationStats,
-    /// Whether the adaptive precision target was met (`None` for fixed
-    /// plans, `Some(false)` when the budget ran out first).
-    pub target_met: Option<bool>,
-}
-
-/// Streaming aggregation of [`SimOutcome`]s for the shared replication
-/// engine: Welford moments only, no outcome `Vec`. The first error (in
-/// replication-index order) is retained and aborts the run's result.
-#[derive(Clone)]
-struct SimSink {
-    tta: Welford,
-    accumulated: Vec<Welford>,
-    censored: u64,
-    replications: u64,
-    confidence: f64,
-    error: Option<SpnError>,
-}
-
-impl SimSink {
-    fn new(reward_count: usize, confidence: f64) -> Self {
-        Self {
-            tta: Welford::new(),
-            accumulated: vec![Welford::new(); reward_count],
-            censored: 0,
-            replications: 0,
-            confidence,
-            error: None,
-        }
-    }
-
-    fn into_result(self) -> Result<ReplicationStats, SpnError> {
-        match self.error {
-            Some(e) => Err(e),
-            None => Ok(ReplicationStats {
-                time_to_absorption: self.tta,
-                accumulated: self.accumulated,
-                censored: self.censored,
-                replications: self.replications,
-            }),
-        }
-    }
-}
-
-impl OutcomeSink<Result<SimOutcome, SpnError>> for SimSink {
-    fn record(&mut self, outcome: Result<SimOutcome, SpnError>) {
-        self.replications += 1;
-        match outcome {
-            Err(e) => {
-                if self.error.is_none() {
-                    self.error = Some(e);
-                }
-            }
-            Ok(o) => {
-                if o.absorbed {
-                    self.tta.push(o.time);
-                } else {
-                    self.censored += 1;
-                }
-                for (w, &a) in self.accumulated.iter_mut().zip(&o.accumulated) {
-                    w.push(a);
-                }
-            }
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.tta.merge(&other.tta);
-        for (w, o) in self.accumulated.iter_mut().zip(&other.accumulated) {
-            w.merge(o);
-        }
-        self.censored += other.censored;
-        self.replications += other.replications;
-        // self covers the earlier index range, so its error stays first
-        if self.error.is_none() {
-            self.error = other.error;
-        }
-    }
-
-    fn precision(&self) -> Option<f64> {
-        if self.error.is_some() {
-            // a fatal replication error: stop spawning batches immediately
-            return Some(0.0);
-        }
-        self.tta.relative_precision(self.confidence)
-    }
 }
 
 impl Replicate for Simulator<'_> {
@@ -340,44 +226,6 @@ impl<'a> Simulator<'a> {
             marking: format!("{marking:?}"),
         })
     }
-
-    /// Run `n` replications in parallel with deterministic per-replication
-    /// seeds derived from `master_seed` (a fixed [`SamplingPlan`] through
-    /// the shared replication engine).
-    ///
-    /// # Errors
-    /// Returns the first replication error encountered.
-    pub fn run_replications(&self, n: u64, master_seed: u64) -> Result<ReplicationStats, SpnError> {
-        self.run_sampled(&SamplingPlan::Fixed(n), master_seed, 0.95)
-            .map(|s| s.stats)
-    }
-
-    /// Run a [`SamplingPlan`] through the shared replication engine.
-    /// Adaptive plans keep spawning batches until the relative half-width
-    /// of the `confidence`-level CI on the mean time to absorption meets
-    /// the plan's target (or its budget runs out); outcomes stream into
-    /// Welford accumulators, never a `Vec`.
-    ///
-    /// # Errors
-    /// Returns the first replication error (in replication-index order).
-    ///
-    /// # Panics
-    /// Panics on an invalid plan (see [`SamplingPlan::validate`]).
-    pub fn run_sampled(
-        &self,
-        plan: &SamplingPlan,
-        master_seed: u64,
-        confidence: f64,
-    ) -> Result<SampledStats, SpnError> {
-        let rewards = self.rewards.rates.len() + self.rewards.impulses.len();
-        let done = run_plan(self, plan, master_seed, || {
-            SimSink::new(rewards, confidence)
-        });
-        Ok(SampledStats {
-            stats: done.sink.into_result()?,
-            target_met: done.target_met,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -385,6 +233,20 @@ mod tests {
     use super::*;
     use crate::model::{SpnBuilder, TransitionDef};
     use crate::reward::{ImpulseReward, RateReward};
+    use numerics::replicate::run_indexed;
+    use numerics::stats::Welford;
+
+    /// Times to absorption of replications `0..n`, folded in index order
+    /// (every replication must absorb).
+    fn absorption_times(sim: &Simulator<'_>, n: u64, master_seed: u64) -> Welford {
+        let mut w = Welford::new();
+        for o in run_indexed(sim, master_seed, n) {
+            let o = o.unwrap();
+            assert!(o.absorbed, "censored replication");
+            w.push(o.time);
+        }
+        w
+    }
 
     fn exp_net(rate: f64) -> Spn {
         let mut b = SpnBuilder::new();
@@ -410,37 +272,13 @@ mod tests {
         let net = exp_net(2.0);
         let rewards = RewardSet::new();
         let sim = Simulator::new(&net, &rewards, SimOptions::default());
-        let stats = sim.run_replications(20_000, 7).unwrap();
-        assert_eq!(stats.censored, 0);
-        let ci = stats.mtta_ci(0.99);
+        let ci = absorption_times(&sim, 20_000, 7).confidence_interval(0.99);
         assert!(
             ci.contains(0.5),
             "CI [{}, {}] should contain 0.5",
             ci.lo(),
             ci.hi()
         );
-    }
-
-    #[test]
-    fn adaptive_sampling_stops_at_target_precision() {
-        let net = exp_net(1.0);
-        let rewards = RewardSet::new();
-        let sim = Simulator::new(&net, &rewards, SimOptions::default());
-        let plan = SamplingPlan::Adaptive {
-            target_rel_halfwidth: 0.10,
-            min: 100,
-            max: 50_000,
-            batch: 200,
-        };
-        let out = sim.run_sampled(&plan, 13, 0.95).unwrap();
-        assert_eq!(out.target_met, Some(true));
-        let n = out.stats.replications;
-        assert!(n < 50_000, "should stop early, used {n}");
-        let ci = out.stats.mtta_ci(0.95);
-        assert!(ci.half_width / ci.mean <= 0.10, "{ci:?}");
-        // bit-identical to the fixed plan with the same replication count
-        let fixed = sim.run_replications(n, 13).unwrap();
-        assert_eq!(fixed.time_to_absorption, out.stats.time_to_absorption);
     }
 
     #[test]
@@ -559,8 +397,7 @@ mod tests {
         let exact = ctmc.mean_time_to_absorption().unwrap().mtta;
         let rewards = RewardSet::new();
         let sim = Simulator::new(&net, &rewards, SimOptions::default());
-        let stats = sim.run_replications(30_000, 123).unwrap();
-        let ci = stats.mtta_ci(0.99);
+        let ci = absorption_times(&sim, 30_000, 123).confidence_interval(0.99);
         assert!(
             ci.contains(exact),
             "CI [{}, {}] vs exact {exact}",

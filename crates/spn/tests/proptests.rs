@@ -3,6 +3,8 @@
 //! simulation) must agree on randomly generated absorbing chains, and
 //! structural invariants must hold on every explored graph.
 
+use numerics::replicate::run_indexed;
+use numerics::stats::Welford;
 use proptest::prelude::*;
 use spn::ctmc::{Ctmc, CtmcTemplate, TransientOptions};
 use spn::model::{SpnBuilder, TransitionDef};
@@ -160,7 +162,8 @@ proptest! {
         // solutions must be identical to solver precision.
         let base = explore(&two_rate_net(n, die0, leak0), &ExploreOptions::default()).unwrap();
         let target = two_rate_net(n, die1, leak1);
-        let reweighted = base.reweighted(&target).unwrap();
+        let mut reweighted = base.clone();
+        reweighted.reweight_in_place(&target).unwrap();
         let fresh = explore(&target, &ExploreOptions::default()).unwrap();
 
         prop_assert_eq!(reweighted.state_count(), fresh.state_count());
@@ -250,7 +253,8 @@ proptest! {
         // Re-weighting back and forth must return to the original rates
         // (no drift from repeated in-place rescaling).
         let original = explore(&two_rate_net(n, die, leak), &ExploreOptions::default()).unwrap();
-        let mut g = original.reweighted(&two_rate_net(n, die * 3.0, leak * 0.25)).unwrap();
+        let mut g = original.clone();
+        g.reweight_in_place(&two_rate_net(n, die * 3.0, leak * 0.25)).unwrap();
         g.reweight_in_place(&two_rate_net(n, die, leak)).unwrap();
         for (e_re, e_orig) in g.edges.iter().flatten().zip(original.edges.iter().flatten()) {
             prop_assert_eq!(e_re.target, e_orig.target);
@@ -283,8 +287,13 @@ fn simulation_confirms_analytic_mtta_on_branching_net() {
 
     let rewards = RewardSet::new();
     let sim = Simulator::new(&net, &rewards, SimOptions::default());
-    let stats = sim.run_replications(40_000, 2024).unwrap();
-    let ci = stats.mtta_ci(0.99);
+    let mut tta = Welford::new();
+    for o in run_indexed(&sim, 2024, 40_000) {
+        let o = o.unwrap();
+        assert!(o.absorbed);
+        tta.push(o.time);
+    }
+    let ci = tta.confidence_interval(0.99);
     assert!(
         ci.contains(analytic.mtta),
         "sim CI [{}, {}] excludes analytic {}",

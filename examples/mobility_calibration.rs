@@ -13,7 +13,7 @@ fn main() {
     // A sparser radio range than the paper default (250 m) so partition /
     // merge dynamics are actually visible within a short demo run; at the
     // paper's density the 100-node network is connected almost always
-    // (partitions ~2e-5/s — see EXPERIMENTS.md).
+    // (partitions ~2e-5/s).
     let cal_cfg = CalibrationConfig {
         duration: 5_000.0,
         seeds: 4,

@@ -4,6 +4,8 @@
 //! Run with: `cargo run --release -p examples --example spn_playground`
 
 use examples::row;
+use numerics::replicate::run_indexed;
+use numerics::stats::Welford;
 use spn::ctmc::{Ctmc, TransientOptions};
 use spn::model::{SpnBuilder, TransitionDef};
 use spn::reach::{explore, ExploreOptions};
@@ -91,8 +93,15 @@ fn main() {
     let rewards =
         RewardSet::new().with_rate(RateReward::new("units_up", move |m| m.tokens(up) as f64));
     let sim = Simulator::new(&net, &rewards, SimOptions::default());
-    let stats = sim.run_replications(100_000, 7).expect("simulate");
-    let ci = stats.mtta_ci(0.95);
+    let (mut ttf, mut unit_seconds) = (Welford::new(), Welford::new());
+    for o in run_indexed(&sim, 7, 100_000) {
+        let o = o.expect("simulate");
+        if o.absorbed {
+            ttf.push(o.time);
+        }
+        unit_seconds.push(o.accumulated[0]);
+    }
+    let ci = ttf.confidence_interval(0.95);
     println!(
         "{}",
         row(
@@ -105,7 +114,7 @@ fn main() {
         "{}",
         row(
             "expected unit-seconds until failure",
-            format!("{:.2}", stats.accumulated[0].mean())
+            format!("{:.2}", unit_seconds.mean())
         )
     );
 

@@ -3,12 +3,14 @@
 //! must agree on MTTSF — and the analytic failure-cause split must match
 //! the simulated one.
 
+use engine::{
+    backend_for, cross_validate_dir, BackendKind, CrossValOptions, RunBudget, RunReport, Runner,
+    SamplingPlan, ScenarioSpec,
+};
 use gcsids::config::SystemConfig;
-use gcsids::des::{run_des_replications, DesConfig};
 use gcsids::metrics::evaluate;
 use gcsids::model::build_model;
-use spn::reward::RewardSet;
-use spn::sim::{SimOptions, Simulator};
+use std::path::PathBuf;
 
 /// Accelerated configuration (fast attacker, small group) so thousands of
 /// replications complete in seconds.
@@ -21,21 +23,40 @@ fn hot() -> SystemConfig {
     c
 }
 
+/// `replications` fixed replications of the [`hot`] system on a
+/// stochastic backend, seeded by `master_seed` (default one-year horizon,
+/// 95% intervals).
+fn hot_spec(kind: BackendKind, replications: u64, master_seed: u64) -> ScenarioSpec {
+    let mut spec = ScenarioSpec::paper_default(kind);
+    spec.system = hot();
+    spec.stochastic.sampling = SamplingPlan::Fixed(replications);
+    spec.stochastic.master_seed = master_seed;
+    spec
+}
+
+/// The DES report of [`hot_spec`], through the production sink.
+fn hot_des(replications: u64, master_seed: u64) -> RunReport {
+    let spec = hot_spec(BackendKind::Des, replications, master_seed);
+    backend_for(BackendKind::Des)
+        .run(&spec, &RunBudget::default())
+        .unwrap()
+}
+
 #[test]
 fn token_game_confirms_analytic_mttsf() {
-    let cfg = hot();
-    let analytic = evaluate(&cfg).unwrap();
-    let model = build_model(&cfg);
-    let rewards = RewardSet::new();
-    let sim = Simulator::new(&model.net, &rewards, SimOptions::default());
-    let stats = sim.run_replications(8_000, 11).unwrap();
-    assert_eq!(stats.censored, 0);
-    let ci = stats.mtta_ci(0.99);
+    let analytic = evaluate(&hot()).unwrap();
+    // No horizon: every replication must play out to absorption.
+    let mut spec = hot_spec(BackendKind::SpnSim, 8_000, 11);
+    spec.stochastic.max_time = f64::INFINITY;
+    spec.stochastic.confidence = 0.99;
+    let report = backend_for(BackendKind::SpnSim)
+        .run(&spec, &RunBudget::default())
+        .unwrap();
+    assert_eq!(report.censored, Some(0));
+    let (lo, hi) = report.mttsf.ci.unwrap();
     assert!(
-        ci.contains(analytic.mttsf_seconds),
-        "token game CI [{:.4e}, {:.4e}] excludes analytic {:.4e}",
-        ci.lo(),
-        ci.hi(),
+        lo <= analytic.mttsf_seconds && analytic.mttsf_seconds <= hi,
+        "token game CI [{lo:.4e}, {hi:.4e}] excludes analytic {:.4e}",
         analytic.mttsf_seconds
     );
 }
@@ -44,12 +65,9 @@ fn token_game_confirms_analytic_mttsf() {
 fn protocol_des_matches_analytic_within_modeling_tolerance() {
     // The DES executes real votes per group rather than the hypergeometric
     // abstraction; agreement within 15% validates the Equation-1
-    // reconstruction and the SPN structure (EXPERIMENTS.md records the
-    // measured gap).
-    let cfg = hot();
-    let analytic = evaluate(&cfg).unwrap();
-    let stats = run_des_replications(&DesConfig::new(cfg), 4_000, 17);
-    let sim_mean = stats.mttsf.mean();
+    // reconstruction and the SPN structure.
+    let analytic = evaluate(&hot()).unwrap();
+    let sim_mean = hot_des(4_000, 17).mttsf.value;
     let rel = (sim_mean - analytic.mttsf_seconds).abs() / analytic.mttsf_seconds;
     assert!(
         rel < 0.15,
@@ -61,15 +79,16 @@ fn protocol_des_matches_analytic_within_modeling_tolerance() {
 
 #[test]
 fn failure_cause_split_agrees_between_analytic_and_des() {
-    let cfg = hot();
-    let analytic = evaluate(&cfg).unwrap();
-    let stats = run_des_replications(&DesConfig::new(cfg), 4_000, 23);
-    let failures = (stats.c1_failures + stats.c2_failures) as f64;
-    assert!(failures > 0.0);
-    let sim_c1 = stats.c1_failures as f64 / failures;
+    let analytic = evaluate(&hot()).unwrap();
+    let split = hot_des(4_000, 23).failure;
+    // The analytic model has no attrition ending; neither may the DES here,
+    // so the C1 share of all endings is the C1 share of failures.
+    assert_eq!(split.p_other, 0.0);
+    assert!(split.p_c1 + split.p_c2 > 0.0);
     assert!(
-        (sim_c1 - analytic.p_failure_c1).abs() < 0.08,
-        "C1 share: DES {sim_c1:.3} vs analytic {:.3}",
+        (split.p_c1 - analytic.p_failure_c1).abs() < 0.08,
+        "C1 share: DES {:.3} vs analytic {:.3}",
+        split.p_c1,
         analytic.p_failure_c1
     );
 }
@@ -79,14 +98,12 @@ fn des_cost_rate_within_factor_two_of_analytic() {
     // Cost accounting differs structurally (event-level GDH + per-group
     // floods vs state-averaged rates) — they must still land in the same
     // ballpark.
-    let cfg = hot();
-    let analytic = evaluate(&cfg).unwrap();
-    let stats = run_des_replications(&DesConfig::new(cfg), 1_000, 29);
-    let ratio = stats.cost_rate.mean() / analytic.c_total_hop_bits_per_sec;
+    let analytic = evaluate(&hot()).unwrap();
+    let cost = hot_des(1_000, 29).c_total.value;
+    let ratio = cost / analytic.c_total_hop_bits_per_sec;
     assert!(
         (0.5..2.0).contains(&ratio),
-        "cost ratio {ratio:.2} (DES {:.3e} vs analytic {:.3e})",
-        stats.cost_rate.mean(),
+        "cost ratio {ratio:.2} (DES {cost:.3e} vs analytic {:.3e})",
         analytic.c_total_hop_bits_per_sec
     );
 }
@@ -125,11 +142,6 @@ fn occupancy_integral_reproduces_mttsf_definition() {
 // Mission-survivability cross-validation (engine-level)
 // ---------------------------------------------------------------------------
 
-use engine::{
-    backend_for, cross_validate_dir, BackendKind, CrossValOptions, RunBudget, Runner, ScenarioSpec,
-};
-use std::path::PathBuf;
-
 /// The committed acceptance check: on the paper's §5 default system, the
 /// exact `P[survive t]` from uniformization lies inside the 95% confidence
 /// intervals of both the SPN token-game simulation and the protocol DES on
@@ -157,7 +169,7 @@ fn exact_survival_inside_stochastic_cis_on_paper_default_mission_grid() {
     // Censor right past the last grid point: later behaviour is irrelevant
     // to the mission question and this keeps replications cheap.
     base.stochastic.max_time = times[4] * 1.01;
-    base.stochastic.sampling = engine::SamplingPlan::Fixed(60);
+    base.stochastic.sampling = SamplingPlan::Fixed(60);
     base.stochastic.confidence = 0.95;
     let exact = Runner::new().run(&base).unwrap();
     let exact_curve = exact.survival.as_ref().unwrap();
@@ -343,7 +355,7 @@ fn adaptive_spec_meets_precision_target_or_reports_exhaustion() {
     spec.system.node_count = 12;
     spec.stochastic.max_time = 1.0e6;
     let target = 0.25;
-    spec.stochastic.sampling = engine::SamplingPlan::Adaptive {
+    spec.stochastic.sampling = SamplingPlan::Adaptive {
         target_rel_halfwidth: target,
         min: 20,
         max: 600,

@@ -194,7 +194,7 @@ fn magnitudes_in_paper_bands() {
 /// large factor, for every attacker shape. (Attacker *shape* itself barely
 /// moves MTTSF while the IDS keeps the compromised fraction low — mc stays
 /// near 1 — which is why the paper varies only the detection function in
-/// Figures 4–5; EXPERIMENTS.md discusses this.)
+/// Figures 4–5.)
 #[test]
 fn adaptive_interval_selection_pays_off_for_every_attacker() {
     let grid = SystemConfig::paper_tids_grid();
