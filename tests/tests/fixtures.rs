@@ -6,10 +6,19 @@
 //! for the `survival` field. Both are committed in canonical encoding, so
 //! parse → re-encode must reproduce every file byte-for-byte.
 //!
-//! Regenerate after an intentional format change with:
+//! The `golden-*.json` reports are recomputation goldens: small fixed
+//! plans of committed specs on the stochastic paths no other golden pins
+//! (mobility-DES, clustered SPN-sim, clustered DES, and the DES response
+//! policies). The replication engine is deterministic, so recomputing
+//! them must reproduce the committed bytes exactly (`wall_seconds` is
+//! zeroed); any drift is a behavior change in a backend.
+//!
+//! Regenerate after an intentional format or behavior change with:
 //! `cargo test -p integration-tests regenerate_fixtures -- --ignored`
 
-use engine::{BackendKind, Estimate, RunReport, SamplingPlan, ScenarioSpec};
+use engine::{
+    backend_for, BackendKind, Estimate, RunBudget, RunReport, SamplingPlan, ScenarioSpec,
+};
 use std::fs;
 use std::path::PathBuf;
 
@@ -264,6 +273,83 @@ fn fixture_reports() -> Vec<(&'static str, RunReport)> {
     ]
 }
 
+/// The recomputation goldens: `(golden file, spec fixture, backend,
+/// replications)`. Plans are small so the check stays fast; the mobility
+/// runs use the attacker strategies only (the backend rejects other
+/// response policies).
+const RECOMPUTED: [(&str, &str, BackendKind, u64); 8] = [
+    (
+        "golden-mobility-des.json",
+        "hot-mission.json",
+        BackendKind::MobilityDes,
+        12,
+    ),
+    (
+        "golden-mobility-des-burst.json",
+        "ab-burst.json",
+        BackendKind::MobilityDes,
+        12,
+    ),
+    (
+        "golden-mobility-des-targeted.json",
+        "ab-targeted.json",
+        BackendKind::MobilityDes,
+        12,
+    ),
+    (
+        "golden-clustered-spn-sim.json",
+        "clustered-mission.json",
+        BackendKind::SpnSim,
+        40,
+    ),
+    (
+        "golden-clustered-des.json",
+        "clustered-mission.json",
+        BackendKind::Des,
+        40,
+    ),
+    (
+        "golden-des-targeted.json",
+        "ab-targeted.json",
+        BackendKind::Des,
+        40,
+    ),
+    (
+        "golden-des-quarantine.json",
+        "ab-quarantine.json",
+        BackendKind::Des,
+        40,
+    ),
+    (
+        "golden-des-throttle.json",
+        "ab-throttle.json",
+        BackendKind::Des,
+        40,
+    ),
+];
+
+/// Recompute the goldens from the spec generator, `wall_seconds` zeroed.
+fn recomputed_reports() -> Vec<(&'static str, RunReport)> {
+    let specs = fixture_specs();
+    RECOMPUTED
+        .iter()
+        .map(|&(golden, spec_name, backend, replications)| {
+            let mut spec = specs
+                .iter()
+                .find(|(name, _)| *name == spec_name)
+                .map(|(_, s)| s.clone())
+                .unwrap_or_else(|| panic!("no spec fixture {spec_name}"));
+            spec.backend = backend;
+            spec.stochastic.sampling = SamplingPlan::Fixed(replications);
+            let mut report = backend_for(backend)
+                .run(&spec, &RunBudget::default())
+                .unwrap_or_else(|e| panic!("{golden}: {e}"));
+            report.wall_seconds = 0.0;
+            (golden, report)
+        })
+        .collect()
+}
+
 /// Writes the canonical fixture files. Run explicitly after intentional
 /// format changes; the golden tests below pin the committed bytes.
 #[test]
@@ -276,8 +362,22 @@ fn regenerate_fixtures() {
     for (name, spec) in fixture_specs() {
         fs::write(specs.join(name), spec.to_json() + "\n").unwrap();
     }
-    for (name, report) in fixture_reports() {
+    for (name, report) in fixture_reports().into_iter().chain(recomputed_reports()) {
         fs::write(reports.join(name), report.to_json() + "\n").unwrap();
+    }
+}
+
+#[test]
+fn recomputed_report_goldens_match_byte_for_byte() {
+    for (name, report) in recomputed_reports() {
+        let path = fixtures_dir().join("reports").join(name);
+        let text = fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{}: {e} (run regenerate_fixtures)", path.display()));
+        assert_eq!(
+            report.to_json(),
+            text.trim_end(),
+            "{name} drifted from recomputation"
+        );
     }
 }
 
