@@ -1,4 +1,5 @@
-//! Protocol-level discrete-event simulation.
+//! Protocol-level discrete-event simulation, and the protocol layer it
+//! shares with [`crate::des_mobility`].
 //!
 //! Where the SPN abstracts the voting IDS into the analytic `Pfn`/`Pfp`,
 //! this simulator *executes the protocols*: host-IDS verdicts are sampled
@@ -23,11 +24,24 @@
 //! release/confirmation, throttled rekey service and the stale-key leak.
 //! With the baseline scenario every added rate is zero and the event
 //! stream is bit-identical to the pre-scenario simulator.
+//!
+//! # The shared protocol layer
+//!
+//! Both simulators play one protocol over different group memberships:
+//! calibrated birth–death groups here, live radio components in
+//! [`crate::des_mobility`]. Everything above the group layout is defined
+//! once, in this module: the outcome ([`DesOutcome`]) and its counters,
+//! the node statuses, the attacker's scenario-modulated capture rate, the
+//! voting round with its collusion choice and conviction accounting, and
+//! the uniform pick of a node by status. The two time-advance loops stay
+//! separate — an exact exponential race here, a race thinned within fixed
+//! mobility steps there — because merging them would change every random
+//! draw, and with it every reference number.
 
 use crate::config::SystemConfig;
 use crate::cost::gdh_rekey_hop_bits;
+use crate::model::c2_holds;
 use crate::scenario_model::scenario_system;
-use ids::adaptive::AdaptiveController;
 use ids::host::HostIds;
 use ids::voting::{run_vote_with_collusion, CollusionModel, VotingConfig};
 use numerics::dist::sample_exponential;
@@ -61,28 +75,23 @@ pub struct DesConfig {
     pub system: SystemConfig,
     /// Censoring horizon (s).
     pub max_time: f64,
-    /// Enable the adaptive controller (re-selects the detection shape from
-    /// observed compromise pacing; oracle observations — see module docs).
-    pub adaptive: bool,
     /// Adversary strategy and response policy (baseline reproduces the
     /// paper's behavior exactly).
     pub scenario: ScenarioConfig,
 }
 
 impl DesConfig {
-    /// Defaults: paper system, one-year horizon, no adaptation, baseline
-    /// scenario.
+    /// Defaults: paper system, one-year horizon, baseline scenario.
     pub fn new(system: SystemConfig) -> Self {
         Self {
             system,
             max_time: 3.15e7,
-            adaptive: false,
             scenario: ScenarioConfig::baseline(),
         }
     }
 }
 
-/// Outcome of one replication.
+/// Outcome of one replication of either protocol simulator.
 #[derive(Debug, Clone)]
 pub struct DesOutcome {
     /// Time of failure (or censoring).
@@ -91,8 +100,6 @@ pub struct DesOutcome {
     pub cause: FailureCause,
     /// Accumulated traffic (hop·bits).
     pub hop_bits: f64,
-    /// Time-averaged cost rate (hop·bits/s).
-    pub mean_cost_rate: f64,
     /// Nodes compromised by the attacker.
     pub compromises: u64,
     /// Compromised nodes caught by the voting IDS.
@@ -101,6 +108,10 @@ pub struct DesOutcome {
     pub false_evictions: u64,
     /// Voting rounds executed.
     pub votes: u64,
+    /// Group partition events (components gained, under mobility).
+    pub partitions: u64,
+    /// Group merge events (components lost, under mobility).
+    pub merges: u64,
     /// Time of the first compromise (`None` if none happened).
     pub first_compromise: Option<f64>,
     /// Time of the first true detection — the first conviction of a
@@ -108,8 +119,9 @@ pub struct DesOutcome {
     pub first_true_detection: Option<f64>,
 }
 
+/// A node's protocol status (the mobility simulator never quarantines).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NodeStatus {
+pub(crate) enum NodeStatus {
     Trusted,
     Compromised,
     Evicted,
@@ -119,56 +131,211 @@ enum NodeStatus {
     QuarantinedBad,
 }
 
-struct World {
-    cfg: SystemConfig,
-    status: Vec<NodeStatus>,
-    groups: Vec<Vec<u32>>,
-    host: HostIds,
+impl NodeStatus {
+    /// A group member: trusted, or compromised and undetected.
+    pub(crate) fn is_live(self) -> bool {
+        matches!(self, Self::Trusted | Self::Compromised)
+    }
 }
 
-impl World {
-    fn new(cfg: &SystemConfig) -> Self {
-        let n = cfg.node_count as usize;
+/// Nodes with status `s`.
+pub(crate) fn count(status: &[NodeStatus], s: NodeStatus) -> u32 {
+    status.iter().filter(|&&x| x == s).count() as u32
+}
+
+/// A uniformly random node whose status satisfies `want`: one `choose`
+/// draw over the matching node indices, in index order.
+///
+/// # Panics
+/// If no node matches (the caller's event rate is zero then).
+pub(crate) fn pick_node<R: Rng + ?Sized>(
+    status: &[NodeStatus],
+    want: impl Fn(NodeStatus) -> bool,
+    rng: &mut R,
+) -> usize {
+    let nodes: Vec<usize> = (0..status.len()).filter(|&n| want(status[n])).collect();
+    *nodes
+        .choose(rng)
+        .expect("a node with the wanted status exists")
+}
+
+/// The attacker captures a uniformly random trusted node at `t`.
+pub(crate) fn compromise<R: Rng + ?Sized>(
+    status: &mut [NodeStatus],
+    t: f64,
+    k: &mut Counters,
+    rng: &mut R,
+) {
+    let victim = pick_node(status, |s| s == NodeStatus::Trusted, rng);
+    status[victim] = NodeStatus::Compromised;
+    k.compromises += 1;
+    k.first_compromise.get_or_insert(t);
+}
+
+/// Per-replication counters threaded to every [`DesOutcome`] return site.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Counters {
+    compromises: u64,
+    true_evictions: u64,
+    false_evictions: u64,
+    votes: u64,
+    pub(crate) partitions: u64,
+    pub(crate) merges: u64,
+    first_compromise: Option<f64>,
+    first_true_detection: Option<f64>,
+}
+
+impl Counters {
+    /// The outcome of a replication that ended at `t`.
+    pub(crate) fn finish(&self, t: f64, cause: FailureCause, hop_bits: f64) -> DesOutcome {
+        DesOutcome {
+            time: t,
+            cause,
+            hop_bits,
+            compromises: self.compromises,
+            true_evictions: self.true_evictions,
+            false_evictions: self.false_evictions,
+            votes: self.votes,
+            partitions: self.partitions,
+            merges: self.merges,
+            first_compromise: self.first_compromise,
+            first_true_detection: self.first_true_detection,
+        }
+    }
+}
+
+/// The scenario-resolved protocol both simulators play: the system after
+/// the stealth transform, the voting configuration, and the attacker's
+/// targeted focus and burst phase parameters.
+pub(crate) struct Protocol {
+    pub(crate) sys: SystemConfig,
+    vote: VotingConfig,
+    focus: f64,
+    /// `(on_rate, off_rate, multiplier)` of a burst attacker.
+    burst: Option<(f64, f64, f64)>,
+}
+
+impl Protocol {
+    pub(crate) fn new(system: &SystemConfig, scenario: &ScenarioConfig) -> Self {
+        // Stealth is a pure parameter transform, applied up front exactly as
+        // in the SPN backend; burst/targeted modulate rates in the loops.
+        let sys = scenario_system(system, scenario);
+        let burst = match scenario.attacker {
+            AttackerStrategy::Burst {
+                on_rate,
+                off_rate,
+                multiplier,
+            } => Some((on_rate, off_rate, multiplier)),
+            _ => None,
+        };
         Self {
-            cfg: cfg.clone(),
-            status: vec![NodeStatus::Trusted; n],
-            groups: vec![(0..n as u32).collect()],
-            host: HostIds::new(cfg.p1_host_false_negative, cfg.p2_host_false_positive),
+            vote: VotingConfig {
+                participants: sys.vote_participants,
+                host: HostIds::new(sys.p1_host_false_negative, sys.p2_host_false_positive),
+            },
+            focus: scenario.attacker.focus(),
+            burst,
+            sys,
         }
     }
 
-    fn count(&self, s: NodeStatus) -> u32 {
-        self.status.iter().filter(|&&x| x == s).count() as u32
+    /// Rate at which a burst attacker leaves its current phase (`None` for
+    /// every other attacker).
+    pub(crate) fn burst_toggle_rate(&self, active: bool) -> Option<f64> {
+        self.burst.map(|(on, off, _)| if active { off } else { on })
     }
 
-    fn trusted(&self) -> u32 {
-        self.count(NodeStatus::Trusted)
+    /// Capture rate with `trusted`/`undetected` nodes: the attacker's rate,
+    /// concentrated by a targeted focus and multiplied in a burst's hot
+    /// phase. Zero once no trusted node is left.
+    pub(crate) fn compromise_rate(&self, trusted: u32, undetected: u32, burst_active: bool) -> f64 {
+        if trusted == 0 {
+            return 0.0;
+        }
+        let mut r = self.sys.attacker.rate(trusted, undetected);
+        if self.focus > 0.0 {
+            r *= targeted_capture_multiplier(self.focus, trusted, undetected);
+        }
+        if let Some((_, _, mult)) = self.burst {
+            r *= burst_capture_multiplier(mult, burst_active);
+        }
+        r
     }
 
-    fn undetected(&self) -> u32 {
-        self.count(NodeStatus::Compromised)
+    /// One voting round at `t` on a target (compromised iff `target_bad`)
+    /// by its group `peers` (`true` = compromised), with
+    /// `(trusted, undetected)` live nodes. Counts the round and its
+    /// conviction, and returns whether the target was convicted plus the
+    /// round's traffic: every vote floods the target's group (Byzantine
+    /// accountability).
+    pub(crate) fn vote<R: Rng + ?Sized>(
+        &self,
+        target_bad: bool,
+        peers: &[bool],
+        (trusted, undetected): (u32, u32),
+        t: f64,
+        k: &mut Counters,
+        rng: &mut R,
+    ) -> (bool, f64) {
+        // Targeted attackers press their numeric advantage inside the vote
+        // too — same effective collusion as the SPN's Pfn/Pfp.
+        let collusion = if self.focus > 0.0 {
+            CollusionModel::Probabilistic(targeted_effective_collusion(
+                self.sys.collusion.malice_probability(),
+                self.focus,
+                trusted,
+                undetected,
+            ))
+        } else {
+            self.sys.collusion
+        };
+        let o = run_vote_with_collusion(&self.vote, target_bad, peers, collusion, rng);
+        k.votes += 1;
+        if o.evicted {
+            if target_bad {
+                k.true_evictions += 1;
+                k.first_true_detection.get_or_insert(t);
+            } else {
+                k.false_evictions += 1;
+            }
+        }
+        let group_size = (peers.len() + 1) as f64;
+        (
+            o.evicted,
+            o.votes as f64 * self.sys.vote_packet_bits as f64 * group_size,
+        )
+    }
+}
+
+struct World<'a> {
+    sys: &'a SystemConfig,
+    status: Vec<NodeStatus>,
+    groups: Vec<Vec<usize>>,
+}
+
+impl<'a> World<'a> {
+    fn new(sys: &'a SystemConfig) -> Self {
+        let n = sys.node_count as usize;
+        Self {
+            sys,
+            status: vec![NodeStatus::Trusted; n],
+            groups: vec![(0..n).collect()],
+        }
     }
 
-    fn group_of(&self, node: u32) -> usize {
+    fn group_of(&self, node: usize) -> usize {
         self.groups
             .iter()
             .position(|g| g.contains(&node))
             .expect("every live node belongs to a group")
     }
 
-    /// C2 check on actual per-group composition.
+    /// C2 check on actual per-group composition (convicted nodes have
+    /// left their group).
     fn any_group_byzantine(&self) -> bool {
         self.groups.iter().any(|g| {
-            let (mut t, mut u) = (0u32, 0u32);
-            for &n in g {
-                match self.status[n as usize] {
-                    NodeStatus::Trusted => t += 1,
-                    NodeStatus::Compromised => u += 1,
-                    // evicted/quarantined nodes have left their group
-                    _ => {}
-                }
-            }
-            2 * u > t && (t + u) > 0
+            let count = |s| g.iter().filter(|&&n| self.status[n] == s).count() as u32;
+            c2_holds(count(NodeStatus::Trusted), count(NodeStatus::Compromised))
         })
     }
 
@@ -176,12 +343,12 @@ impl World {
     /// data dissemination + status + beacons. Vote and rekey traffic is
     /// charged per event.
     fn background_rate(&self) -> f64 {
-        let cfg = &self.cfg;
+        let cfg = self.sys;
         let mut rate = 0.0;
         for g in &self.groups {
             let live: u32 = g
                 .iter()
-                .filter(|&&n| self.status[n as usize] != NodeStatus::Evicted)
+                .filter(|&&n| self.status[n] != NodeStatus::Evicted)
                 .count() as u32;
             let nf = live as f64;
             rate += cfg.group_comm_rate * nf * cfg.data_packet_bits as f64 * nf;
@@ -193,7 +360,7 @@ impl World {
 
     /// Remove a node from its group (no status change); returns the
     /// remaining group size.
-    fn remove_from_group(&mut self, node: u32) -> u32 {
+    fn remove_from_group(&mut self, node: usize) -> u32 {
         let gi = self.group_of(node);
         self.groups[gi].retain(|&n| n != node);
         let size = self.groups[gi].len() as u32;
@@ -204,22 +371,32 @@ impl World {
     }
 
     /// Remove an evicted node from its group.
-    fn evict(&mut self, node: u32) -> f64 {
+    fn evict(&mut self, node: usize) -> f64 {
         let size = self.remove_from_group(node);
-        self.status[node as usize] = NodeStatus::Evicted;
-        gdh_rekey_hop_bits(&self.cfg, size.max(1))
+        self.status[node] = NodeStatus::Evicted;
+        gdh_rekey_hop_bits(self.sys, size.max(1))
     }
 
     /// Re-admit a released node into a random group (quarantine-rejoin),
     /// charging the rejoin rekey of the receiving group.
-    fn rejoin<R: Rng + ?Sized>(&mut self, node: u32, rng: &mut R) -> f64 {
+    fn rejoin<R: Rng + ?Sized>(&mut self, node: usize, rng: &mut R) -> f64 {
         if self.groups.is_empty() {
             self.groups.push(vec![node]);
             return 0.0; // a singleton group needs no rekey
         }
         let gi = rng.gen_range(0..self.groups.len());
         self.groups[gi].push(node);
-        gdh_rekey_hop_bits(&self.cfg, self.groups[gi].len() as u32)
+        gdh_rekey_hop_bits(self.sys, self.groups[gi].len() as u32)
+    }
+
+    /// Rekey a random group (join/leave and served throttled rekeys);
+    /// nothing to rekey once every member is held in quarantine.
+    fn rekey_random_group<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        if self.groups.is_empty() {
+            return 0.0;
+        }
+        let gi = rng.gen_range(0..self.groups.len());
+        gdh_rekey_hop_bits(self.sys, self.groups[gi].len() as u32)
     }
 }
 
@@ -233,39 +410,12 @@ const EVENT_EVALUATE: usize = 1;
 const EVENT_LEAK: usize = 2;
 const EVENT_PARTITION: usize = 3;
 const EVENT_MERGE: usize = 4;
-const EVENT_BURST_ON: usize = 5;
-const EVENT_BURST_OFF: usize = 6;
-const EVENT_RELEASE_GOOD: usize = 7;
-const EVENT_RELEASE_BAD: usize = 8;
-const EVENT_CONFIRM_BAD: usize = 9;
-const EVENT_REKEY_SERVE: usize = 10;
-const EVENT_STALE_LEAK: usize = 11;
-
-/// Per-replication counters threaded to every [`DesOutcome`] return site.
-#[derive(Debug, Clone, Copy, Default)]
-struct DesCounters {
-    compromises: u64,
-    true_evictions: u64,
-    false_evictions: u64,
-    votes: u64,
-    first_compromise: Option<f64>,
-    first_true_detection: Option<f64>,
-}
-
-fn finish(t: f64, cause: FailureCause, hop_bits: f64, k: &DesCounters) -> DesOutcome {
-    DesOutcome {
-        time: t,
-        cause,
-        hop_bits,
-        mean_cost_rate: if t > 0.0 { hop_bits / t } else { 0.0 },
-        compromises: k.compromises,
-        true_evictions: k.true_evictions,
-        false_evictions: k.false_evictions,
-        votes: k.votes,
-        first_compromise: k.first_compromise,
-        first_true_detection: k.first_true_detection,
-    }
-}
+const EVENT_BURST_TOGGLE: usize = 5;
+const EVENT_RELEASE_GOOD: usize = 6;
+const EVENT_RELEASE_BAD: usize = 7;
+const EVENT_CONFIRM_BAD: usize = 8;
+const EVENT_REKEY_SERVE: usize = 9;
+const EVENT_STALE_LEAK: usize = 10;
 
 /// Winner of an exponential race: the first slot whose cumulative rate mass
 /// exceeds `pick` (the final slot absorbs floating-point residue).
@@ -281,19 +431,8 @@ fn sample_event_index(mut pick: f64, rates: &[f64]) -> usize {
 
 /// Run one replication.
 pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
-    // Stealth is a pure parameter transform, applied up front exactly as in
-    // the SPN backend.
-    let sys_owned = scenario_system(&cfg.system, &cfg.scenario);
-    let sys = &sys_owned;
-    let focus = cfg.scenario.attacker.focus();
-    let burst = match cfg.scenario.attacker {
-        AttackerStrategy::Burst {
-            on_rate,
-            off_rate,
-            multiplier,
-        } => Some((on_rate, off_rate, multiplier)),
-        _ => None,
-    };
+    let p = Protocol::new(&cfg.system, &cfg.scenario);
+    let sys = &p.sys;
     let quarantine = match cfg.scenario.response {
         ResponsePolicy::QuarantineRejoin {
             release_rate,
@@ -309,43 +448,29 @@ pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
     // detlint::allow(D003): leaf constructor — `seed` is a child_seed from the replicate grid, passed down by the executor
     let mut rng = StdRng::seed_from_u64(seed);
     let mut world = World::new(sys);
-    let mut detection = sys.detection;
-    let mut controller = AdaptiveController::new(sys.attacker.exponent, detection.base_interval);
-    let mut last_compromise_at = 0.0f64;
 
     let mut t = 0.0f64;
     let mut hop_bits = 0.0f64;
-    let mut k = DesCounters::default();
+    let mut k = Counters::default();
     let mut burst_active = false;
     let mut pending_rekeys = 0u32;
 
     loop {
-        let trusted = world.trusted();
-        let undetected = world.undetected();
+        let trusted = count(&world.status, NodeStatus::Trusted);
+        let undetected = count(&world.status, NodeStatus::Compromised);
         let live = trusted + undetected;
-        let qg = world.count(NodeStatus::QuarantinedGood) as f64;
-        let qb = world.count(NodeStatus::QuarantinedBad) as f64;
+        let qg = count(&world.status, NodeStatus::QuarantinedGood) as f64;
+        let qb = count(&world.status, NodeStatus::QuarantinedBad) as f64;
         // Attrition requires the quarantine to be empty too: a held node may
         // still be released back into the system (matches `scenario_failed`).
         if live == 0 && qg + qb == 0.0 {
-            return finish(t, FailureCause::Attrition, hop_bits, &k);
+            return k.finish(t, FailureCause::Attrition, hop_bits);
         }
         let g = world.groups.len() as f64;
 
         // --- event rates ---------------------------------------------------
-        let r_compromise = if trusted > 0 {
-            let mut r = sys.attacker.rate(trusted, undetected);
-            if focus > 0.0 {
-                r *= targeted_capture_multiplier(focus, trusted, undetected);
-            }
-            if let Some((_, _, mult)) = burst {
-                r *= burst_capture_multiplier(mult, burst_active);
-            }
-            r
-        } else {
-            0.0
-        };
-        let r_evaluate = live as f64 * detection.rate(sys.node_count, trusted, undetected);
+        let r_compromise = p.compromise_rate(trusted, undetected, burst_active);
+        let r_evaluate = live as f64 * sys.detection.rate(sys.node_count, trusted, undetected);
         let r_leak = sys.group_comm_rate * undetected as f64;
         let can_partition = world.groups.iter().any(|grp| grp.len() >= 2)
             && (world.groups.len() as u32) < sys.max_groups;
@@ -359,16 +484,7 @@ pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
         } else {
             0.0
         };
-        let (r_burst_on, r_burst_off) = match burst {
-            Some((on, off, _)) => {
-                if burst_active {
-                    (0.0, off)
-                } else {
-                    (on, 0.0)
-                }
-            }
-            None => (0.0, 0.0),
-        };
+        let r_burst_toggle = p.burst_toggle_rate(burst_active).unwrap_or(0.0);
         let (r_rel_good, r_rel_bad, r_conf_bad) = match quarantine {
             Some((rel, fr)) => (rel * qg, rel * fr * qb, rel * (1.0 - fr) * qb),
             None => (0.0, 0.0, 0.0),
@@ -387,45 +503,13 @@ pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
         } else {
             sys.join_rate * (sys.node_count - live) as f64 + sys.leave_rate * live as f64
         };
-        let total = r_compromise
-            + r_evaluate
-            + r_leak
-            + r_partition
-            + r_merge
-            + r_burst_on
-            + r_burst_off
-            + r_rel_good
-            + r_rel_bad
-            + r_conf_bad
-            + r_serve
-            + r_stale
-            + r_joinleave;
-        if total <= 0.0 {
-            return finish(
-                cfg.max_time,
-                FailureCause::Censored,
-                hop_bits + world.background_rate() * (cfg.max_time - t),
-                &k,
-            );
-        }
-
-        let dt = sample_exponential(&mut rng, total);
-        let step = dt.min(cfg.max_time - t);
-        hop_bits += world.background_rate() * step;
-        if t + dt >= cfg.max_time {
-            return finish(cfg.max_time, FailureCause::Censored, hop_bits, &k);
-        }
-        t += dt;
-
-        // --- pick the event (winner of the exponential race) -----------------
         let rates = [
             r_compromise,
             r_evaluate,
             r_leak,
             r_partition,
             r_merge,
-            r_burst_on,
-            r_burst_off,
+            r_burst_toggle,
             r_rel_good,
             r_rel_bad,
             r_conf_bad,
@@ -433,83 +517,51 @@ pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
             r_stale,
             r_joinleave,
         ];
+        let total: f64 = rates.iter().sum();
+        if total <= 0.0 {
+            return k.finish(
+                cfg.max_time,
+                FailureCause::Censored,
+                hop_bits + world.background_rate() * (cfg.max_time - t),
+            );
+        }
+
+        let dt = sample_exponential(&mut rng, total);
+        let step = dt.min(cfg.max_time - t);
+        hop_bits += world.background_rate() * step;
+        if t + dt >= cfg.max_time {
+            return k.finish(cfg.max_time, FailureCause::Censored, hop_bits);
+        }
+        t += dt;
+
+        // --- pick the event (winner of the exponential race) -----------------
         match sample_event_index(rng.gen::<f64>() * total, &rates) {
-            EVENT_COMPROMISE => {
-                // attacker compromises a random trusted node
-                let victims: Vec<u32> = (0..world.status.len() as u32)
-                    .filter(|&n| world.status[n as usize] == NodeStatus::Trusted)
-                    .collect();
-                let &victim = victims.choose(&mut rng).expect("trusted node exists");
-                world.status[victim as usize] = NodeStatus::Compromised;
-                k.compromises += 1;
-                if k.first_compromise.is_none() {
-                    k.first_compromise = Some(t);
-                }
-                if cfg.adaptive {
-                    let dt_c = (t - last_compromise_at).max(1e-9);
-                    last_compromise_at = t;
-                    let mc = ids::functions::AttackerProfile::mc(
-                        world.trusted().max(1),
-                        world.undetected(),
-                    );
-                    controller.observe(dt_c, mc);
-                    detection = detection.with_interval(detection.base_interval);
-                    detection.shape = controller.matching_shape();
-                }
-            }
+            EVENT_COMPROMISE => compromise(&mut world.status, t, &mut k, &mut rng),
             EVENT_EVALUATE => {
                 // evaluate a random live node with an actual voting round
-                let live_nodes: Vec<u32> = (0..world.status.len() as u32)
-                    .filter(|&n| {
-                        matches!(
-                            world.status[n as usize],
-                            NodeStatus::Trusted | NodeStatus::Compromised
-                        )
-                    })
-                    .collect();
-                let &target = live_nodes.choose(&mut rng).expect("live node exists");
+                let target = pick_node(&world.status, NodeStatus::is_live, &mut rng);
                 let gi = world.group_of(target);
                 let peers: Vec<bool> = world.groups[gi]
                     .iter()
                     .filter(|&&n| n != target)
-                    .map(|&n| world.status[n as usize] == NodeStatus::Compromised)
+                    .map(|&n| world.status[n] == NodeStatus::Compromised)
                     .collect();
-                let vote_cfg = VotingConfig {
-                    participants: sys.vote_participants,
-                    host: world.host,
-                };
-                let target_bad = world.status[target as usize] == NodeStatus::Compromised;
-                // Targeted attackers press their numeric advantage inside the
-                // vote too — same effective collusion as the SPN's Pfn/Pfp.
-                let collusion = if focus > 0.0 {
-                    CollusionModel::Probabilistic(targeted_effective_collusion(
-                        sys.collusion.malice_probability(),
-                        focus,
-                        trusted,
-                        undetected,
-                    ))
-                } else {
-                    sys.collusion
-                };
-                let o = run_vote_with_collusion(&vote_cfg, target_bad, &peers, collusion, &mut rng);
-                k.votes += 1;
-                // votes flood the target's group (Byzantine accountability)
-                let group_live = world.groups[gi].len() as f64;
-                hop_bits += o.votes as f64 * sys.vote_packet_bits as f64 * group_live;
-                if o.evicted {
-                    if target_bad {
-                        k.true_evictions += 1;
-                        if k.first_true_detection.is_none() {
-                            k.first_true_detection = Some(t);
-                        }
-                    } else {
-                        k.false_evictions += 1;
-                    }
+                let target_bad = world.status[target] == NodeStatus::Compromised;
+                let (convicted, traffic) = p.vote(
+                    target_bad,
+                    &peers,
+                    (trusted, undetected),
+                    t,
+                    &mut k,
+                    &mut rng,
+                );
+                hop_bits += traffic;
+                if convicted {
                     if quarantine.is_some() {
                         // conviction quarantines instead of evicting; the
                         // shrunken group still rekeys
                         let size = world.remove_from_group(target);
-                        world.status[target as usize] = if target_bad {
+                        world.status[target] = if target_bad {
                             NodeStatus::QuarantinedBad
                         } else {
                             NodeStatus::QuarantinedGood
@@ -519,7 +571,7 @@ pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
                         // conviction evicts but the rekey is queued, not
                         // charged — the old key stays live until served
                         world.remove_from_group(target);
-                        world.status[target as usize] = NodeStatus::Evicted;
+                        world.status[target] = NodeStatus::Evicted;
                         pending_rekeys += 1;
                     } else {
                         hop_bits += world.evict(target);
@@ -531,7 +583,7 @@ pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
                 // host IDS misses the requester
                 hop_bits += sys.data_packet_bits as f64 * sys.mean_hops;
                 if rng.gen::<f64>() < sys.p1_host_false_negative {
-                    return finish(t, FailureCause::DataLeak, hop_bits, &k);
+                    return k.finish(t, FailureCause::DataLeak, hop_bits);
                 }
             }
             EVENT_PARTITION => {
@@ -550,6 +602,7 @@ pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
                     + gdh_rekey_hop_bits(sys, other.len() as u32);
                 world.groups[gi] = members;
                 world.groups.push(other);
+                k.partitions += 1;
             }
             EVENT_MERGE => {
                 // merge two random groups
@@ -562,65 +615,51 @@ pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
                 world.groups[a].extend(moved);
                 hop_bits += gdh_rekey_hop_bits(sys, world.groups[a].len() as u32);
                 world.groups.remove(b);
+                k.merges += 1;
             }
-            EVENT_BURST_ON => burst_active = true,
-            EVENT_BURST_OFF => burst_active = false,
+            EVENT_BURST_TOGGLE => burst_active = !burst_active,
             EVENT_RELEASE_GOOD => {
                 // quarantine review clears a good node; it rejoins a group
-                let held: Vec<u32> = (0..world.status.len() as u32)
-                    .filter(|&n| world.status[n as usize] == NodeStatus::QuarantinedGood)
-                    .collect();
-                let &node = held.choose(&mut rng).expect("quarantined good node exists");
-                world.status[node as usize] = NodeStatus::Trusted;
+                let node = pick_node(
+                    &world.status,
+                    |s| s == NodeStatus::QuarantinedGood,
+                    &mut rng,
+                );
+                world.status[node] = NodeStatus::Trusted;
                 hop_bits += world.rejoin(node, &mut rng);
             }
             EVENT_RELEASE_BAD => {
                 // quarantine review wrongly clears a compromised node
-                let held: Vec<u32> = (0..world.status.len() as u32)
-                    .filter(|&n| world.status[n as usize] == NodeStatus::QuarantinedBad)
-                    .collect();
-                let &node = held.choose(&mut rng).expect("quarantined bad node exists");
-                world.status[node as usize] = NodeStatus::Compromised;
+                let node = pick_node(&world.status, |s| s == NodeStatus::QuarantinedBad, &mut rng);
+                world.status[node] = NodeStatus::Compromised;
                 hop_bits += world.rejoin(node, &mut rng);
             }
             EVENT_CONFIRM_BAD => {
                 // quarantine review confirms the conviction: permanent
                 // eviction, no further rekey (the group already rekeyed)
-                let held: Vec<u32> = (0..world.status.len() as u32)
-                    .filter(|&n| world.status[n as usize] == NodeStatus::QuarantinedBad)
-                    .collect();
-                let &node = held.choose(&mut rng).expect("quarantined bad node exists");
-                world.status[node as usize] = NodeStatus::Evicted;
+                let node = pick_node(&world.status, |s| s == NodeStatus::QuarantinedBad, &mut rng);
+                world.status[node] = NodeStatus::Evicted;
             }
             EVENT_REKEY_SERVE => {
                 // the throttled rekey service completes one pending rekey
                 pending_rekeys -= 1;
-                if !world.groups.is_empty() {
-                    let gi = rng.gen_range(0..world.groups.len());
-                    hop_bits += gdh_rekey_hop_bits(sys, world.groups[gi].len() as u32);
-                }
+                hop_bits += world.rekey_random_group(&mut rng);
             }
             EVENT_STALE_LEAK => {
                 // a stale group key (rekey still pending) lets an evicted
                 // compromised node read traffic — condition C1
                 hop_bits += sys.data_packet_bits as f64 * sys.mean_hops;
-                return finish(t, FailureCause::DataLeak, hop_bits, &k);
+                return k.finish(t, FailureCause::DataLeak, hop_bits);
             }
-            _ => {
-                // join/leave rekey event (population-neutral; SPN-equivalent).
-                // The last slot also absorbs fp residue, which can land here
-                // with every member quarantined — then there is nothing to
-                // rekey.
-                if !world.groups.is_empty() {
-                    let gi = rng.gen_range(0..world.groups.len());
-                    hop_bits += gdh_rekey_hop_bits(sys, world.groups[gi].len() as u32);
-                }
-            }
+            // join/leave rekey event (population-neutral; SPN-equivalent).
+            // The last slot also absorbs fp residue, which can land here
+            // with every member quarantined — then there is nothing to rekey.
+            _ => hop_bits += world.rekey_random_group(&mut rng),
         }
 
         // --- failure check ---------------------------------------------------
         if world.any_group_byzantine() {
-            return finish(t, FailureCause::ByzantineCapture, hop_bits, &k);
+            return k.finish(t, FailureCause::ByzantineCapture, hop_bits);
         }
     }
 }
@@ -657,7 +696,6 @@ mod tests {
         ));
         assert!(o.time > 0.0);
         assert!(o.hop_bits > 0.0);
-        assert!(o.mean_cost_rate > 0.0);
     }
 
     #[test]
@@ -690,14 +728,6 @@ mod tests {
             .sum();
         assert!(votes > 0);
         assert!(evictions > 0);
-    }
-
-    #[test]
-    fn adaptive_mode_runs() {
-        let mut cfg = DesConfig::new(hot_system(16));
-        cfg.adaptive = true;
-        let o = run_des(&cfg, 11);
-        assert!(o.time > 0.0);
     }
 
     #[test]

@@ -7,8 +7,15 @@
 //! graph at every instant. Stochastic protocol events (compromise, voting,
 //! data requests, join/leave rekeys) are superimposed on the evolving
 //! connectivity with a hybrid scheme: mobility advances in fixed `dt`
-//! steps, and within each step protocol events fire by thinning the
-//! exponential race.
+//! steps (the last one shortened to end at the horizon), and within each
+//! step protocol events fire by thinning the exponential race.
+//!
+//! The protocol itself — outcome and counters, node statuses, the
+//! attacker's capture rate, the voting round — is the layer shared with
+//! [`crate::des`]; only the group layout and the time advance are this
+//! module's own. The thinned fixed-step loop stays separate from the
+//! exact race of [`crate::des::run_des`] because merging the two would
+//! change every random draw, and with it every reference number.
 //!
 //! This is the most expensive validator in the repository (every step
 //! rebuilds connectivity), so it is used with accelerated parameters by
@@ -19,26 +26,22 @@
 
 use crate::config::SystemConfig;
 use crate::cost::gdh_rekey_hop_bits;
-use crate::des::FailureCause;
-use crate::scenario_model::scenario_system;
-use ids::voting::{run_vote_with_collusion, CollusionModel, VotingConfig};
+use crate::des::{
+    compromise, count, pick_node, Counters, DesOutcome, FailureCause, NodeStatus, Protocol,
+};
+use crate::model::c2_holds;
 use manet::{ConnectivityGraph, MobilityConfig, RandomWaypoint};
 use numerics::replicate::Replicate;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use scenario::{
-    burst_capture_multiplier, targeted_capture_multiplier, targeted_effective_collusion,
-    AttackerStrategy, ScenarioConfig,
-};
+use scenario::ScenarioConfig;
 
-/// Parameters of the mobility-coupled simulation.
+/// Parameters of the mobility-coupled simulation. Nodes move under the
+/// default random-waypoint model, with the system's node count.
 #[derive(Debug, Clone)]
 pub struct MobilityDesConfig {
     /// The protocol/attacker configuration.
     pub system: SystemConfig,
-    /// Mobility model (node count is taken from `system.node_count`).
-    pub mobility: MobilityConfig,
     /// Radio range (m) defining the unit-disc groups.
     pub radio_range: f64,
     /// Mobility step (s).
@@ -56,13 +59,8 @@ impl MobilityDesConfig {
     /// Defaults: the system's node count in the paper's 500 m disc with
     /// 250 m range, 1 s steps, one-year horizon.
     pub fn new(system: SystemConfig) -> Self {
-        let mobility = MobilityConfig {
-            node_count: system.node_count as usize,
-            ..Default::default()
-        };
         Self {
             system,
-            mobility,
             radio_range: 250.0,
             dt: 1.0,
             max_time: 3.15e7,
@@ -71,102 +69,24 @@ impl MobilityDesConfig {
     }
 }
 
-/// Outcome of one mobility-coupled replication.
-#[derive(Debug, Clone)]
-pub struct MobilityDesOutcome {
-    /// End time.
-    pub time: f64,
-    /// Cause of the ending.
-    pub cause: FailureCause,
-    /// Accumulated traffic (hop·bits).
-    pub hop_bits: f64,
-    /// Observed partition events.
-    pub partitions: u64,
-    /// Observed merge events.
-    pub merges: u64,
-    /// Compromises performed by the attacker.
-    pub compromises: u64,
-    /// Evictions by the voting IDS (true + false).
-    pub evictions: u64,
-    /// Evictions of actually compromised nodes.
-    pub true_evictions: u64,
-    /// Evictions of healthy nodes (false alarms).
-    pub false_evictions: u64,
-    /// Time of the first compromise (`None` if none happened).
-    pub first_compromise: Option<f64>,
-    /// Time of the first eviction of a compromised node (`None` if none).
-    pub first_true_detection: Option<f64>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum St {
-    Trusted,
-    Compromised,
-    Evicted,
-}
-
-/// Per-replication counters threaded to every return site.
-#[derive(Debug, Clone, Copy, Default)]
-struct MobCounters {
-    partitions: u64,
-    merges: u64,
-    compromises: u64,
-    evictions: u64,
-    true_evictions: u64,
-    false_evictions: u64,
-    first_compromise: Option<f64>,
-    first_true_detection: Option<f64>,
-}
-
-fn finish(t: f64, cause: FailureCause, hop_bits: f64, k: &MobCounters) -> MobilityDesOutcome {
-    MobilityDesOutcome {
-        time: t,
-        cause,
-        hop_bits,
-        partitions: k.partitions,
-        merges: k.merges,
-        compromises: k.compromises,
-        evictions: k.evictions,
-        true_evictions: k.true_evictions,
-        false_evictions: k.false_evictions,
-        first_compromise: k.first_compromise,
-        first_true_detection: k.first_true_detection,
-    }
-}
-
 /// Run one mobility-coupled replication.
-pub fn run_mobility_des(cfg: &MobilityDesConfig, seed: u64) -> MobilityDesOutcome {
-    // Stealth is a pure parameter transform, exactly as in the other
-    // backends; burst/targeted modulate rates inside the loop.
-    let sys_owned = scenario_system(&cfg.system, &cfg.scenario);
-    let sys = &sys_owned;
-    let focus = cfg.scenario.attacker.focus();
-    let burst = match cfg.scenario.attacker {
-        AttackerStrategy::Burst {
-            on_rate,
-            off_rate,
-            multiplier,
-        } => Some((on_rate, off_rate, multiplier)),
-        _ => None,
-    };
+pub fn run_mobility_des(cfg: &MobilityDesConfig, seed: u64) -> DesOutcome {
+    let p = Protocol::new(&cfg.system, &cfg.scenario);
+    let sys = &p.sys;
     // detlint::allow(D003): leaf constructor — `seed` is a child_seed from the replicate grid, passed down by the executor
     let mut rng = StdRng::seed_from_u64(seed);
     let mut mobility = RandomWaypoint::new(
         MobilityConfig {
             node_count: sys.node_count as usize,
-            ..cfg.mobility
+            ..Default::default()
         },
         &mut rng,
     );
-    let mut status = vec![St::Trusted; sys.node_count as usize];
-    let vote_cfg = VotingConfig {
-        participants: sys.vote_participants,
-        host: ids::host::HostIds::new(sys.p1_host_false_negative, sys.p2_host_false_positive),
-    };
+    let mut status = vec![NodeStatus::Trusted; sys.node_count as usize];
 
     let mut t = 0.0f64;
     let mut hop_bits = 0.0f64;
-    let mut k = MobCounters::default();
+    let mut k = Counters::default();
     let mut burst_active = false;
 
     let positions = mobility.positions();
@@ -175,8 +95,15 @@ pub fn run_mobility_des(cfg: &MobilityDesConfig, seed: u64) -> MobilityDesOutcom
 
     while t < cfg.max_time {
         // --- mobility step and group bookkeeping ---------------------------
-        mobility.step(cfg.dt, &mut rng);
-        t += cfg.dt;
+        // A final partial step ends exactly at the horizon, so no event is
+        // ever reported past it.
+        let step = if t + cfg.dt <= cfg.max_time {
+            cfg.dt
+        } else {
+            cfg.max_time - t
+        };
+        mobility.step(step, &mut rng);
+        t = (t + cfg.dt).min(cfg.max_time);
         let positions = mobility.positions();
         graph = ConnectivityGraph::build(&positions, cfg.radio_range);
         let components = graph.component_count();
@@ -192,126 +119,88 @@ pub fn run_mobility_des(cfg: &MobilityDesConfig, seed: u64) -> MobilityDesOutcom
         prev_components = components;
 
         // --- live population -------------------------------------------------
-        let trusted = status.iter().filter(|&&s| s == St::Trusted).count() as u32;
-        let undetected = status.iter().filter(|&&s| s == St::Compromised).count() as u32;
+        let trusted = count(&status, NodeStatus::Trusted);
+        let undetected = count(&status, NodeStatus::Compromised);
         let live = trusted + undetected;
         if live == 0 {
-            return finish(t, FailureCause::Attrition, hop_bits, &k);
+            return k.finish(t, FailureCause::Attrition, hop_bits);
         }
 
         // --- background traffic over actual components ----------------------
-        hop_bits += background_rate(sys, &graph, &status) * cfg.dt;
+        hop_bits += background_rate(sys, &graph, &status) * step;
 
         // --- scenario phase (burst attackers only; no draw otherwise) --------
-        if let Some((on, off, _)) = burst {
-            let toggle_rate = if burst_active { off } else { on };
-            if rng.gen::<f64>() < 1.0 - (-toggle_rate * cfg.dt).exp() {
+        if let Some(toggle_rate) = p.burst_toggle_rate(burst_active) {
+            if rng.gen::<f64>() < 1.0 - (-toggle_rate * step).exp() {
                 burst_active = !burst_active;
             }
         }
 
         // --- protocol events within the step (thinned Poisson) --------------
-        let r_compromise = if trusted > 0 {
-            let mut r = sys.attacker.rate(trusted, undetected);
-            if focus > 0.0 {
-                r *= targeted_capture_multiplier(focus, trusted, undetected);
-            }
-            if let Some((_, _, mult)) = burst {
-                r *= burst_capture_multiplier(mult, burst_active);
-            }
-            r
-        } else {
-            0.0
-        };
-        if trusted > 0 && rng.gen::<f64>() < 1.0 - (-r_compromise * cfg.dt).exp() {
-            let victims: Vec<usize> = (0..status.len())
-                .filter(|&i| status[i] == St::Trusted)
-                .collect();
-            let &victim = victims.choose(&mut rng).expect("trusted node exists");
-            status[victim] = St::Compromised;
-            k.compromises += 1;
-            if k.first_compromise.is_none() {
-                k.first_compromise = Some(t);
-            }
+        let r_compromise = p.compromise_rate(trusted, undetected, burst_active);
+        if trusted > 0 && rng.gen::<f64>() < 1.0 - (-r_compromise * step).exp() {
+            compromise(&mut status, t, &mut k, &mut rng);
         }
 
         let d_rate = sys.detection.rate(sys.node_count, trusted, undetected);
-        let p_eval = 1.0 - (-(live as f64) * d_rate * cfg.dt).exp();
+        let p_eval = 1.0 - (-(live as f64) * d_rate * step).exp();
         if rng.gen::<f64>() < p_eval {
             // evaluate one random live node within its actual component
-            let live_nodes: Vec<usize> = (0..status.len())
-                .filter(|&i| status[i] != St::Evicted)
-                .collect();
-            let &target = live_nodes.choose(&mut rng).expect("live node exists");
+            let target = pick_node(&status, NodeStatus::is_live, &mut rng);
             let comp = graph.component_of(target);
-            let peers: Vec<bool> = live_nodes
-                .iter()
-                .filter(|&&n| n != target && graph.component_of(n) == comp)
-                .map(|&n| status[n] == St::Compromised)
+            let peers: Vec<bool> = (0..status.len())
+                .filter(|&n| n != target && status[n].is_live() && graph.component_of(n) == comp)
+                .map(|n| status[n] == NodeStatus::Compromised)
                 .collect();
-            let target_bad = status[target] == St::Compromised;
-            // Targeted attackers press their numeric advantage inside the
-            // vote too — same effective collusion as the SPN's Pfn/Pfp.
-            let collusion = if focus > 0.0 {
-                CollusionModel::Probabilistic(targeted_effective_collusion(
-                    sys.collusion.malice_probability(),
-                    focus,
-                    trusted,
-                    undetected,
-                ))
-            } else {
-                sys.collusion
-            };
-            let o = run_vote_with_collusion(&vote_cfg, target_bad, &peers, collusion, &mut rng);
-            hop_bits += o.votes as f64 * sys.vote_packet_bits as f64 * (peers.len() + 1) as f64;
-            if o.evicted {
-                status[target] = St::Evicted;
-                k.evictions += 1;
-                if target_bad {
-                    k.true_evictions += 1;
-                    if k.first_true_detection.is_none() {
-                        k.first_true_detection = Some(t);
-                    }
-                } else {
-                    k.false_evictions += 1;
-                }
+            let target_bad = status[target] == NodeStatus::Compromised;
+            let (convicted, traffic) = p.vote(
+                target_bad,
+                &peers,
+                (trusted, undetected),
+                t,
+                &mut k,
+                &mut rng,
+            );
+            hop_bits += traffic;
+            if convicted {
+                status[target] = NodeStatus::Evicted;
                 hop_bits += gdh_rekey_hop_bits(sys, peers.len() as u32);
             }
         }
 
         let r_leak = sys.group_comm_rate * undetected as f64;
-        if undetected > 0 && rng.gen::<f64>() < 1.0 - (-r_leak * cfg.dt).exp() {
+        if undetected > 0 && rng.gen::<f64>() < 1.0 - (-r_leak * step).exp() {
             hop_bits += sys.data_packet_bits as f64 * sys.mean_hops;
             if rng.gen::<f64>() < sys.p1_host_false_negative {
-                return finish(t, FailureCause::DataLeak, hop_bits, &k);
+                return k.finish(t, FailureCause::DataLeak, hop_bits);
             }
         }
 
         // join/leave rekey traffic (population-neutral, as in `des`)
         let r_jl = sys.join_rate * (sys.node_count - live) as f64 + sys.leave_rate * live as f64;
-        if rng.gen::<f64>() < 1.0 - (-r_jl * cfg.dt).exp() {
+        if rng.gen::<f64>() < 1.0 - (-r_jl * step).exp() {
             hop_bits += gdh_rekey_hop_bits(sys, mean_live_group_size(&graph, &status));
         }
 
         // --- C2 check on real components ------------------------------------
         if any_component_byzantine(&graph, &status) {
-            return finish(t, FailureCause::ByzantineCapture, hop_bits, &k);
+            return k.finish(t, FailureCause::ByzantineCapture, hop_bits);
         }
     }
-    finish(cfg.max_time, FailureCause::Censored, hop_bits, &k)
+    k.finish(cfg.max_time, FailureCause::Censored, hop_bits)
 }
 
-fn mean_live_group_size(graph: &ConnectivityGraph, status: &[St]) -> u32 {
-    let live: u32 = status.iter().filter(|&&s| s != St::Evicted).count() as u32;
+fn mean_live_group_size(graph: &ConnectivityGraph, status: &[NodeStatus]) -> u32 {
+    let live: u32 = status.iter().filter(|s| s.is_live()).count() as u32;
     let comps = graph.component_count().max(1) as u32;
     (live / comps).max(1)
 }
 
-fn background_rate(sys: &SystemConfig, graph: &ConnectivityGraph, status: &[St]) -> f64 {
+fn background_rate(sys: &SystemConfig, graph: &ConnectivityGraph, status: &[NodeStatus]) -> f64 {
     // live members per component
     let mut live_per_comp = vec![0u32; graph.component_count()];
-    for (i, &s) in status.iter().enumerate() {
-        if s != St::Evicted {
+    for (i, s) in status.iter().enumerate() {
+        if s.is_live() {
             live_per_comp[graph.component_of(i) as usize] += 1;
         }
     }
@@ -326,27 +215,24 @@ fn background_rate(sys: &SystemConfig, graph: &ConnectivityGraph, status: &[St])
         .sum()
 }
 
-fn any_component_byzantine(graph: &ConnectivityGraph, status: &[St]) -> bool {
+fn any_component_byzantine(graph: &ConnectivityGraph, status: &[NodeStatus]) -> bool {
     let comps = graph.component_count();
     let mut trusted = vec![0u32; comps];
     let mut bad = vec![0u32; comps];
     for (i, &s) in status.iter().enumerate() {
         match s {
-            St::Trusted => trusted[graph.component_of(i) as usize] += 1,
-            St::Compromised => bad[graph.component_of(i) as usize] += 1,
-            St::Evicted => {}
+            NodeStatus::Trusted => trusted[graph.component_of(i) as usize] += 1,
+            NodeStatus::Compromised => bad[graph.component_of(i) as usize] += 1,
+            _ => {}
         }
     }
-    trusted
-        .iter()
-        .zip(&bad)
-        .any(|(&t, &u)| t + u > 0 && 2 * u > t)
+    trusted.iter().zip(&bad).any(|(&t, &u)| c2_holds(t, u))
 }
 
 impl Replicate for MobilityDesConfig {
-    type Outcome = MobilityDesOutcome;
+    type Outcome = DesOutcome;
 
-    fn run_one(&self, seed: u64) -> MobilityDesOutcome {
+    fn run_one(&self, seed: u64) -> DesOutcome {
         run_mobility_des(self, seed)
     }
 }
@@ -354,6 +240,7 @@ impl Replicate for MobilityDesConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scenario::AttackerStrategy;
 
     /// Small, fast-failing configuration.
     fn hot() -> MobilityDesConfig {
@@ -395,7 +282,31 @@ mod tests {
         cfg.max_time = 50.0;
         let o = run_mobility_des(&cfg, 3);
         assert_eq!(o.cause, FailureCause::Censored);
-        assert!((o.time - 50.0).abs() < cfg.dt + 1e-9);
+        assert_eq!(o.time, 50.0);
+        // a horizon that is not a multiple of the step censors at it too
+        cfg.max_time = 51.0;
+        let o = run_mobility_des(&cfg, 3);
+        assert_eq!(o.cause, FailureCause::Censored);
+        assert_eq!(o.time, 51.0);
+    }
+
+    #[test]
+    fn no_outcome_past_the_horizon() {
+        // Steps of 7 s against a 10 s horizon: the second step is cut to
+        // 3 s, so a failure in it happens at the horizon, not at 14 s.
+        let mut cfg = hot();
+        cfg.system.attacker.base_rate = 0.5;
+        cfg.dt = 7.0;
+        cfg.max_time = 10.0;
+        let mut failed_in_last_step = 0;
+        for seed in 0..400 {
+            let o = run_mobility_des(&cfg, seed);
+            assert!(o.time <= cfg.max_time, "seed {seed}: {o:?}");
+            if o.cause != FailureCause::Censored && o.time > cfg.dt {
+                failed_in_last_step += 1;
+            }
+        }
+        assert!(failed_in_last_step > 0, "the cut step must see failures");
     }
 
     #[test]
@@ -418,8 +329,10 @@ mod tests {
 
     #[test]
     fn eviction_split_sums_to_total() {
+        // every eviction is the conviction of one voting round
         let o = run_mobility_des(&hot(), 29);
-        assert_eq!(o.evictions, o.true_evictions + o.false_evictions);
+        assert!(o.votes > 0);
+        assert!(o.true_evictions + o.false_evictions <= o.votes);
         if let (Some(fc), Some(fd)) = (o.first_compromise, o.first_true_detection) {
             assert!(fd >= fc);
         }

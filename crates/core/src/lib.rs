@@ -19,7 +19,7 @@
 //!   frontier (the paper's closing design-selection recommendation);
 //! * [`des`] — a protocol-level discrete-event simulation (actual votes,
 //!   actual GDH rekeys, sampled host-IDS errors) that cross-validates the
-//!   analytic model;
+//!   analytic model, and the protocol layer it shares with [`des_mobility`];
 //! * [`des_mobility`] — the fully integrated variant where groups are the
 //!   live connected components of a random-waypoint network rather than a
 //!   calibrated birth–death process.
@@ -57,7 +57,7 @@ pub use clustered::{
 pub use config::{ClusterTopology, SystemConfig};
 pub use cost::CostBreakdown;
 pub use des::{DesConfig, DesOutcome, FailureCause};
-pub use des_mobility::{run_mobility_des, MobilityDesConfig, MobilityDesOutcome};
+pub use des_mobility::{run_mobility_des, MobilityDesConfig};
 pub use metrics::{evaluate, Evaluation};
 pub use model::{build_clustered_model, clustered_canonicalizer, ClusteredModel};
 pub use pareto::{design_space, pareto_front, DesignPoint};

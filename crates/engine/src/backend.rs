@@ -13,8 +13,9 @@ use crate::report::{
 };
 use crate::spec::{BackendKind, SamplingPlan, ScenarioSpec};
 use gcsids::clustered::evaluate_clustered_with_survival;
-use gcsids::des::{run_des, DesConfig, FailureCause};
-use gcsids::des_mobility::{run_mobility_des, MobilityDesConfig};
+use gcsids::config::ClusterTopology;
+use gcsids::des::{run_des, DesConfig, DesOutcome, FailureCause};
+use gcsids::des_mobility::MobilityDesConfig;
 use gcsids::metrics::{eviction_impulses, total_cost_reward, ExactTemplate};
 use gcsids::model::{build_model, Places};
 use gcsids::{
@@ -300,6 +301,16 @@ pub(crate) struct Rep {
     pub(crate) first_detection: Option<f64>,
 }
 
+/// Mean cost rate of a replication that accumulated `hop_bits` over
+/// `[0, t]` (0 for a replication that observed nothing).
+fn cost_rate(hop_bits: f64, t: f64) -> f64 {
+    if t > 0.0 {
+        hop_bits / t
+    } else {
+        0.0
+    }
+}
+
 impl Rep {
     /// A summary with no detection observables (clustered composition
     /// paths, which never carry a scenario).
@@ -313,6 +324,23 @@ impl Rep {
             false_alarms: 0.0,
             first_compromise: None,
             first_detection: None,
+        }
+    }
+}
+
+/// The one protocol-DES conversion, shared by [`DesConfig`] and
+/// [`MobilityDesConfig`] runs.
+impl From<DesOutcome> for Rep {
+    fn from(o: DesOutcome) -> Self {
+        Self {
+            time: o.time,
+            cost_rate: cost_rate(o.hop_bits, o.time),
+            cause: o.cause,
+            compromises: o.compromises as f64,
+            detections: o.true_evictions as f64,
+            false_alarms: o.false_evictions as f64,
+            first_compromise: o.first_compromise,
+            first_detection: o.first_true_detection,
         }
     }
 }
@@ -573,9 +601,8 @@ impl Replicate for SpnSimTask<'_> {
     fn run_one(&self, seed: u64) -> Self::Outcome {
         let o = self.sim.run_one(seed)?;
         let hop_bits: f64 = o.accumulated.iter().sum();
-        let cost_rate = if o.time > 0.0 { hop_bits / o.time } else { 0.0 };
         let cause = spn_cause(&self.places, &o);
-        let mut rep = Rep::basic(o.time, cost_rate, cause);
+        let mut rep = Rep::basic(o.time, cost_rate(hop_bits, o.time), cause);
         if let Some([t_cp, t_ids, t_fa]) = self.detect {
             let count = |t: TransitionId| o.firings.get(&t).map_or(0.0, |&n| n as f64);
             rep.compromises = count(t_cp);
@@ -641,115 +668,90 @@ struct ClusterRep {
     cause: FailureCause,
 }
 
-/// Compose independent per-cluster replications into the system summary.
+/// One clustered replication over any single-cluster run: `clusters`
+/// independent runs composed by failure order statistics.
 ///
-/// The flat clustered net is exactly `reps.len()` independent copies of
-/// the single-cluster model — clusters share no places and each freezes
-/// on its own failure — so simulating the copies separately is
+/// The flat clustered net is exactly `clusters` independent copies of the
+/// single-cluster model — clusters share no places and each freezes on its
+/// own failure — so simulating the copies separately is
 /// distribution-identical to simulating the flat net, and additionally
 /// yields the exact failure order. The system fails at the K-th smallest
-/// cluster failure time with that cluster's cause; runs with fewer than
-/// K failures by `horizon` are censored. Cost is summed exactly over the
+/// cluster failure time with that cluster's cause; runs with fewer than K
+/// failures by `max_time` are censored. Cost is summed exactly over the
 /// observation window: clusters that outlive the system absorption time
-/// are re-run via `rerun(cluster, t_sys)` with their original seed — an
-/// identical trajectory, merely censored at `t_sys`.
-fn compose_clusters(
-    reps: &[ClusterRep],
-    threshold: u32,
-    horizon: f64,
-    mut rerun: impl FnMut(usize, f64) -> Result<f64, SpnError>,
-) -> Result<Rep, SpnError> {
-    let mut failures: Vec<(f64, usize)> = reps
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.failed)
-        .map(|(i, r)| (r.time, i))
-        .collect();
-    if (failures.len() as u32) < threshold {
-        let hop_bits: f64 = reps.iter().map(|r| r.hop_bits).sum();
-        let cost_rate = if horizon > 0.0 {
-            hop_bits / horizon
-        } else {
-            0.0
-        };
-        return Ok(Rep::basic(horizon, cost_rate, FailureCause::Censored));
-    }
-    failures.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let (t_sys, kth) = failures[threshold as usize - 1];
-    let mut hop_bits = 0.0;
-    for (i, r) in reps.iter().enumerate() {
-        if r.failed && r.time <= t_sys {
-            // Failed within the window: frozen afterwards, so its own
-            // accumulated cost already covers [0, t_sys].
-            hop_bits += r.hop_bits;
-        } else {
-            hop_bits += rerun(i, t_sys)?;
-        }
-    }
-    let cost_rate = if t_sys > 0.0 { hop_bits / t_sys } else { 0.0 };
-    Ok(Rep::basic(t_sys, cost_rate, reps[kth].cause))
-}
-
-/// One clustered SPN-sim replication: independent single-cluster
-/// token-game runs composed by failure order statistics.
-struct ClusteredSpnSimTask<'a> {
-    net: &'a spn::model::Spn,
-    rewards: &'a RewardSet,
-    places: Places,
+/// are re-run with their original seed and the system time as horizon —
+/// an identical trajectory, merely censored there.
+struct Clustered<F> {
+    /// Run one cluster from `(seed, horizon)`.
+    run_cluster: F,
     clusters: u32,
     threshold: u32,
     max_time: f64,
 }
 
-impl ClusteredSpnSimTask<'_> {
-    fn run_cluster(&self, seed: u64, horizon: f64) -> Result<SimOutcome, SpnError> {
-        let opts = SimOptions {
-            max_time: horizon,
-            ..Default::default()
-        };
-        Simulator::new(self.net, self.rewards, opts).run_one(seed)
-    }
-}
-
-impl Replicate for ClusteredSpnSimTask<'_> {
-    type Outcome = Result<Rep, SpnError>;
-
-    fn run_one(&self, seed: u64) -> Self::Outcome {
-        let mut reps = Vec::with_capacity(self.clusters as usize);
-        for i in 0..u64::from(self.clusters) {
-            let o = self.run_cluster(child_seed(seed, i), self.max_time)?;
-            reps.push(ClusterRep {
-                time: o.time,
-                failed: o.absorbed,
-                hop_bits: o.accumulated.iter().sum(),
-                cause: spn_cause(&self.places, &o),
-            });
+impl<F> Clustered<F> {
+    fn new(topo: &ClusterTopology, spec: &ScenarioSpec, run_cluster: F) -> Self {
+        Self {
+            run_cluster,
+            clusters: topo.clusters,
+            threshold: topo.failure_threshold,
+            max_time: spec.stochastic.max_time,
         }
-        compose_clusters(&reps, self.threshold, self.max_time, |i, t_sys| {
-            let o = self.run_cluster(child_seed(seed, i as u64), t_sys)?;
-            Ok(o.accumulated.iter().sum())
-        })
     }
 }
 
-/// One protocol-DES replication reduced to the common summary.
-struct DesTask(DesConfig);
-
-impl Replicate for DesTask {
+impl<F> Replicate for Clustered<F>
+where
+    F: Fn(u64, f64) -> Result<ClusterRep, SpnError> + Sync,
+{
     type Outcome = Result<Rep, SpnError>;
 
     fn run_one(&self, seed: u64) -> Self::Outcome {
-        let o = run_des(&self.0, seed);
-        Ok(Rep {
-            time: o.time,
-            cost_rate: o.mean_cost_rate,
-            cause: o.cause,
-            compromises: o.compromises as f64,
-            detections: o.true_evictions as f64,
-            false_alarms: o.false_evictions as f64,
-            first_compromise: o.first_compromise,
-            first_detection: o.first_true_detection,
-        })
+        let cluster_seed = |i: usize| child_seed(seed, i as u64);
+        let reps = (0..self.clusters as usize)
+            .map(|i| (self.run_cluster)(cluster_seed(i), self.max_time))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut failures: Vec<(f64, usize)> = reps
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.failed)
+            .map(|(i, r)| (r.time, i))
+            .collect();
+        if (failures.len() as u32) < self.threshold {
+            let hop_bits: f64 = reps.iter().map(|r| r.hop_bits).sum();
+            let rate = cost_rate(hop_bits, self.max_time);
+            return Ok(Rep::basic(self.max_time, rate, FailureCause::Censored));
+        }
+        failures.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let (t_sys, kth) = failures[self.threshold as usize - 1];
+        let mut hop_bits = 0.0;
+        for (i, r) in reps.iter().enumerate() {
+            hop_bits += if r.failed && r.time <= t_sys {
+                // Failed within the window: frozen afterwards, so its own
+                // accumulated cost already covers [0, t_sys].
+                r.hop_bits
+            } else {
+                (self.run_cluster)(cluster_seed(i), t_sys)?.hop_bits
+            };
+        }
+        Ok(Rep::basic(
+            t_sys,
+            cost_rate(hop_bits, t_sys),
+            reps[kth].cause,
+        ))
+    }
+}
+
+/// One replication of either protocol simulator — the calibrated DES
+/// ([`DesConfig`]) or the mobility DES ([`MobilityDesConfig`]) — reduced
+/// to the common summary.
+struct ProtocolTask<C>(C);
+
+impl<C: Replicate<Outcome = DesOutcome>> Replicate for ProtocolTask<C> {
+    type Outcome = Result<Rep, SpnError>;
+
+    fn run_one(&self, seed: u64) -> Self::Outcome {
+        Ok(self.0.run_one(seed).into())
     }
 }
 
@@ -759,63 +761,6 @@ fn des_config(spec: &ScenarioSpec) -> DesConfig {
     cfg.max_time = spec.stochastic.max_time;
     cfg.scenario = spec.scenario_or_baseline();
     cfg
-}
-
-/// One clustered DES replication: independent single-cluster protocol
-/// simulations composed by failure order statistics.
-struct ClusteredDesTask {
-    cfg: DesConfig,
-    clusters: u32,
-    threshold: u32,
-}
-
-impl Replicate for ClusteredDesTask {
-    type Outcome = Result<Rep, SpnError>;
-
-    fn run_one(&self, seed: u64) -> Self::Outcome {
-        let reps: Vec<ClusterRep> = (0..u64::from(self.clusters))
-            .map(|i| {
-                let o = run_des(&self.cfg, child_seed(seed, i));
-                ClusterRep {
-                    time: o.time,
-                    failed: o.cause != FailureCause::Censored,
-                    hop_bits: o.hop_bits,
-                    cause: o.cause,
-                }
-            })
-            .collect();
-        compose_clusters(&reps, self.threshold, self.cfg.max_time, |i, t_sys| {
-            let mut censored = self.cfg.clone();
-            censored.max_time = t_sys;
-            Ok(run_des(&censored, child_seed(seed, i as u64)).hop_bits)
-        })
-    }
-}
-
-/// One mobility-DES replication reduced to the common summary.
-struct MobilityTask(MobilityDesConfig);
-
-impl Replicate for MobilityTask {
-    type Outcome = Result<Rep, SpnError>;
-
-    fn run_one(&self, seed: u64) -> Self::Outcome {
-        let o = run_mobility_des(&self.0, seed);
-        let cost_rate = if o.time > 0.0 {
-            o.hop_bits / o.time
-        } else {
-            0.0
-        };
-        Ok(Rep {
-            time: o.time,
-            cost_rate,
-            cause: o.cause,
-            compromises: o.compromises as f64,
-            detections: o.true_evictions as f64,
-            false_alarms: o.false_evictions as f64,
-            first_compromise: o.first_compromise,
-            first_detection: o.first_true_detection,
-        })
-    }
 }
 
 /// Mobility-DES configuration for a spec (attacker axis only; validate()
@@ -852,14 +797,19 @@ fn with_stochastic_task<T>(
             if let Some(topo) = &spec.clustered {
                 // validate() rejects scenario + clustered, so this is always
                 // the paper net.
-                return f(&ClusteredSpnSimTask {
-                    net: &setup.net,
-                    rewards: &setup.rewards,
-                    places: setup.places,
-                    clusters: topo.clusters,
-                    threshold: topo.failure_threshold,
-                    max_time: spec.stochastic.max_time,
-                });
+                return f(&Clustered::new(topo, spec, |seed, horizon| {
+                    let opts = SimOptions {
+                        max_time: horizon,
+                        ..Default::default()
+                    };
+                    let o = Simulator::new(&setup.net, &setup.rewards, opts).run_one(seed)?;
+                    Ok(ClusterRep {
+                        time: o.time,
+                        failed: o.absorbed,
+                        hop_bits: o.accumulated.iter().sum(),
+                        cause: spn_cause(&setup.places, &o),
+                    })
+                }));
             }
             let opts = SimOptions {
                 max_time: spec.stochastic.max_time,
@@ -874,15 +824,23 @@ fn with_stochastic_task<T>(
         BackendKind::Des => {
             let cfg = des_config(spec);
             if let Some(topo) = &spec.clustered {
-                return f(&ClusteredDesTask {
-                    cfg,
-                    clusters: topo.clusters,
-                    threshold: topo.failure_threshold,
-                });
+                return f(&Clustered::new(topo, spec, |seed, horizon| {
+                    let censored = DesConfig {
+                        max_time: horizon,
+                        ..cfg.clone()
+                    };
+                    let o = run_des(&censored, seed);
+                    Ok(ClusterRep {
+                        time: o.time,
+                        failed: o.cause != FailureCause::Censored,
+                        hop_bits: o.hop_bits,
+                        cause: o.cause,
+                    })
+                }));
             }
-            f(&DesTask(cfg))
+            f(&ProtocolTask(cfg))
         }
-        BackendKind::MobilityDes => f(&MobilityTask(mobility_config(spec))),
+        BackendKind::MobilityDes => f(&ProtocolTask(mobility_config(spec))),
     }
 }
 
