@@ -273,76 +273,175 @@ fn fixture_reports() -> Vec<(&'static str, RunReport)> {
     ]
 }
 
-/// The recomputation goldens: `(golden file, spec fixture, backend,
-/// replications)`. Plans are small so the check stays fast; the mobility
+/// The recomputation goldens: `(golden file, spec, backend, replications,
+/// state budget)`. Plans are small so the check stays fast; the mobility
 /// runs use the attacker strategies only (the backend rejects other
-/// response policies).
-const RECOMPUTED: [(&str, &str, BackendKind, u64); 8] = [
+/// response policies). Exact rows run no replications (`None`); a `Some`
+/// state budget replaces the default one. The exact clustered rows cover
+/// both solution paths: `clustered-mission`'s ten clusters only fit the
+/// hierarchical composition, `clustered-pair` fits the lumped flat chain
+/// under the default budget and is composed under [`HIERARCHICAL_BUDGET`].
+#[allow(clippy::type_complexity)]
+const RECOMPUTED: [(&str, &str, BackendKind, Option<u64>, Option<usize>); 16] = [
     (
         "golden-mobility-des.json",
         "hot-mission.json",
         BackendKind::MobilityDes,
-        12,
+        Some(12),
+        None,
     ),
     (
         "golden-mobility-des-burst.json",
         "ab-burst.json",
         BackendKind::MobilityDes,
-        12,
+        Some(12),
+        None,
     ),
     (
         "golden-mobility-des-targeted.json",
         "ab-targeted.json",
         BackendKind::MobilityDes,
-        12,
+        Some(12),
+        None,
     ),
     (
         "golden-clustered-spn-sim.json",
         "clustered-mission.json",
         BackendKind::SpnSim,
-        40,
+        Some(40),
+        None,
     ),
     (
         "golden-clustered-des.json",
         "clustered-mission.json",
         BackendKind::Des,
-        40,
+        Some(40),
+        None,
     ),
     (
         "golden-des-targeted.json",
         "ab-targeted.json",
         BackendKind::Des,
-        40,
+        Some(40),
+        None,
     ),
     (
         "golden-des-quarantine.json",
         "ab-quarantine.json",
         BackendKind::Des,
-        40,
+        Some(40),
+        None,
     ),
     (
         "golden-des-throttle.json",
         "ab-throttle.json",
         BackendKind::Des,
-        40,
+        Some(40),
+        None,
+    ),
+    (
+        "golden-exact-mission.json",
+        "hot-mission.json",
+        BackendKind::Exact,
+        None,
+        None,
+    ),
+    (
+        "golden-exact-targeted.json",
+        "ab-targeted.json",
+        BackendKind::Exact,
+        None,
+        None,
+    ),
+    (
+        "golden-exact-burst.json",
+        "ab-burst.json",
+        BackendKind::Exact,
+        None,
+        None,
+    ),
+    (
+        "golden-exact-quarantine.json",
+        "ab-quarantine.json",
+        BackendKind::Exact,
+        None,
+        None,
+    ),
+    (
+        "golden-exact-throttle.json",
+        "ab-throttle.json",
+        BackendKind::Exact,
+        None,
+        None,
+    ),
+    (
+        "golden-exact-clustered.json",
+        "clustered-mission.json",
+        BackendKind::Exact,
+        None,
+        None,
+    ),
+    (
+        "golden-exact-clustered-pair.json",
+        "clustered-pair",
+        BackendKind::Exact,
+        None,
+        None,
+    ),
+    (
+        "golden-exact-clustered-pair-hierarchical.json",
+        "clustered-pair",
+        BackendKind::Exact,
+        None,
+        Some(HIERARCHICAL_BUDGET),
     ),
 ];
 
+/// A state budget above the hot single-cluster chain (258 states) but
+/// below `clustered-pair`'s lumped flat chain (`C(259, 2)` = 33 411
+/// states), so the exact backend composes the pair hierarchically.
+const HIERARCHICAL_BUDGET: usize = 1_000;
+
+/// The specs the goldens run: the committed fixtures plus
+/// `clustered-pair`, which is not a committed spec file (the crossval
+/// runner reads every one of those). It is `clustered-mission` with two
+/// clusters failing at the first cluster failure.
+fn recomputation_specs() -> Vec<(&'static str, ScenarioSpec)> {
+    let mut specs = fixture_specs();
+    let (_, clustered) = specs
+        .iter()
+        .find(|(name, _)| *name == "clustered-mission.json")
+        .expect("clustered-mission fixture");
+    let mut pair = clustered.clone().with_clusters(engine::ClusterTopology {
+        clusters: 2,
+        failure_threshold: 1,
+    });
+    pair.name = "clustered-pair".into();
+    specs.push(("clustered-pair", pair));
+    specs
+}
+
 /// Recompute the goldens from the spec generator, `wall_seconds` zeroed.
 fn recomputed_reports() -> Vec<(&'static str, RunReport)> {
-    let specs = fixture_specs();
+    let specs = recomputation_specs();
     RECOMPUTED
         .iter()
-        .map(|&(golden, spec_name, backend, replications)| {
+        .map(|&(golden, spec_name, backend, replications, max_states)| {
             let mut spec = specs
                 .iter()
                 .find(|(name, _)| *name == spec_name)
                 .map(|(_, s)| s.clone())
                 .unwrap_or_else(|| panic!("no spec fixture {spec_name}"));
             spec.backend = backend;
-            spec.stochastic.sampling = SamplingPlan::Fixed(replications);
+            if let Some(n) = replications {
+                spec.stochastic.sampling = SamplingPlan::Fixed(n);
+            }
+            let mut budget = RunBudget::default();
+            if let Some(cap) = max_states {
+                budget.max_states = cap;
+            }
             let mut report = backend_for(backend)
-                .run(&spec, &RunBudget::default())
+                .run(&spec, &budget)
                 .unwrap_or_else(|e| panic!("{golden}: {e}"));
             report.wall_seconds = 0.0;
             (golden, report)
