@@ -32,18 +32,19 @@
 //!   report.
 
 use crate::config::{ClusterTopology, SystemConfig};
-use crate::cost::{cost_breakdown, gdh_rekey_hop_bits, CostBreakdown};
-use crate::metrics::{eviction_impulses, Evaluation};
+use crate::cost::CostBreakdown;
+use crate::metrics::{
+    evaluate_with_ctmc, impulse_rates, population_cost, rekey_impulses, Evaluation,
+};
 use crate::model::{
-    build_clustered_model, build_model, cluster_failed, clustered_canonicalizer, population,
-    ClusteredModel, GcsIdsModel,
+    build_clustered_model, build_model, cluster_failed, clustered_canonicalizer, ClusteredModel,
+    GcsIdsModel,
 };
 use numerics::special::ln_binomial;
 use spn::ctmc::{Ctmc, TransientOptions};
 use spn::error::SpnError;
 use spn::model::{Marking, PlaceId, Spn, SpnBuilder, TransitionDef};
 use spn::reach::{explore, ExploreOptions, MarkingCanonicalizer, ReachabilityGraph};
-use spn::reward::{ImpulseReward, RateReward};
 
 /// Which solution path [`evaluate_clustered_with_survival`] took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,17 +106,6 @@ pub fn multiset_count(d: usize, c: u32) -> f64 {
     v
 }
 
-/// Evaluate a clustered deployment with the default exploration budget.
-///
-/// # Errors
-/// Propagates validation, exploration, and solver failures.
-pub fn evaluate_clustered(
-    cfg: &SystemConfig,
-    topo: &ClusterTopology,
-) -> Result<ClusteredEvaluation, SpnError> {
-    evaluate_clustered_with_survival(cfg, topo, &[], &ExploreOptions::default())
-}
-
 /// Evaluate a clustered deployment: exact MTTSF, cost, failure split, and
 /// mission survival for `topo.clusters` copies of `cfg` failing as a
 /// system once `topo.failure_threshold` clusters have failed.
@@ -148,103 +138,63 @@ pub fn evaluate_clustered_with_survival(
     let unlumped_estimate = (d as f64).powi(topo.clusters as i32);
     let lumped_estimate = multiset_count(d, topo.clusters);
 
-    if lumped_estimate <= opts.max_states as f64 {
-        // --- flat lumped path ---------------------------------------------
-        let model = build_clustered_model(cfg, topo);
-        let canon = clustered_canonicalizer(&model);
-        let orbits = canon.orbit_count();
-        let orbit_members = canon.member_count();
-        let lumped_opts = ExploreOptions {
-            lumping: Some(canon),
-            ..opts.clone()
-        };
-        let graph = explore(&model.net, &lumped_opts)?;
-        let (evaluation, survival) = evaluate_clustered_graph(&model, &graph, mission_times)?;
-        let states = graph.state_count();
+    if lumped_estimate > opts.max_states as f64 {
+        return hierarchical_compose(
+            &cluster_model,
+            &cluster_graph,
+            topo,
+            mission_times,
+            opts,
+            unlumped_estimate,
+        );
+    }
+
+    // --- flat lumped path -------------------------------------------------
+    let model = build_clustered_model(cfg, topo);
+    let canon = clustered_canonicalizer(&model);
+    let orbits = (canon.orbit_count(), canon.member_count());
+    let lumped_opts = ExploreOptions {
+        lumping: Some(canon),
+        ..opts.clone()
+    };
+    let graph = explore(&model.net, &lumped_opts)?;
+    let (evaluation, survival) = evaluate_clustered_graph(&model, &graph, mission_times)?;
+    Ok(ClusteredEvaluation::new(
+        ClusteredPath::FlatLumped,
+        evaluation,
+        survival,
+        orbits,
+        unlumped_estimate,
+    ))
+}
+
+impl ClusteredEvaluation {
+    /// A solved clustered evaluation with its lumping bookkeeping: the
+    /// solved chain's size is the evaluation's, `orbits` the `(orbit,
+    /// member)` counts supplied to exploration.
+    fn new(
+        path: ClusteredPath,
+        evaluation: Evaluation,
+        survival: Option<Vec<f64>>,
+        (orbits, orbit_members): (usize, usize),
+        unlumped_state_estimate: f64,
+    ) -> Self {
+        let states = evaluation.state_count;
         let stats = LumpingStats {
-            path: ClusteredPath::FlatLumped,
+            path,
             states,
-            edges: graph.edge_count(),
+            edges: evaluation.edge_count,
             orbits,
             orbit_members,
-            unlumped_state_estimate: unlumped_estimate,
-            reduction: unlumped_estimate / states.max(1) as f64,
+            unlumped_state_estimate,
+            reduction: unlumped_state_estimate / states.max(1) as f64,
         };
-        return Ok(ClusteredEvaluation {
+        Self {
             evaluation,
             survival,
             stats,
-        });
-    }
-
-    // --- hierarchical path ------------------------------------------------
-    let ctmc = Ctmc::from_graph(&cluster_graph)?;
-    let absorption = ctmc.mean_time_to_absorption()?;
-    let cluster_mttsf = absorption.mtta;
-    if !(cluster_mttsf.is_finite() && cluster_mttsf > 0.0) {
-        return Err(SpnError::InvalidModel(format!(
-            "cluster MTTSF {cluster_mttsf} is not a positive finite time; cannot compose"
-        )));
-    }
-    // Marginal cause split as interpolation fallback for probe times where
-    // no absorbed mass exists yet.
-    let mut marginal_c1 = 0.0;
-    let mut marginal_all = 0.0;
-    for (i, &p) in absorption.absorption_probability.iter().enumerate() {
-        if p <= 0.0 {
-            continue;
-        }
-        marginal_all += p;
-        if cluster_graph.states[i].tokens(cluster_model.places.gf) > 0 {
-            marginal_c1 += p;
         }
     }
-    let fallback_phi = if marginal_all > 0.0 {
-        marginal_c1 / marginal_all
-    } else {
-        0.0
-    };
-
-    let (mut evaluation, survival) = hierarchical_compose(
-        &cluster_model,
-        &cluster_graph,
-        &ctmc,
-        cluster_mttsf,
-        fallback_phi,
-        topo,
-        mission_times,
-    )?;
-
-    // The parent inter-cluster model: one aggregate failure transition per
-    // cluster, explored through the same lumping pipeline (K+1 lumped
-    // states against the Σ_{j≤K} C(C,j) unlumped front).
-    let (parent_net, parent_canon) = parent_aggregate_model(cluster_mttsf, topo);
-    let orbits = parent_canon.orbit_count();
-    let orbit_members = parent_canon.member_count();
-    let parent_opts = ExploreOptions {
-        lumping: Some(parent_canon),
-        ..opts.clone()
-    };
-    let parent_graph = explore(&parent_net, &parent_opts)?;
-
-    let states = cluster_graph.state_count() + parent_graph.state_count();
-    let edges = cluster_graph.edge_count() + parent_graph.edge_count();
-    evaluation.state_count = states;
-    evaluation.edge_count = edges;
-    let stats = LumpingStats {
-        path: ClusteredPath::Hierarchical,
-        states,
-        edges,
-        orbits,
-        orbit_members,
-        unlumped_state_estimate: unlumped_estimate,
-        reduction: unlumped_estimate / states.max(1) as f64,
-    };
-    Ok(ClusteredEvaluation {
-        evaluation,
-        survival,
-        stats,
-    })
 }
 
 /// Solve an already-explored flat clustered graph (lumped or not): MTTSF,
@@ -260,73 +210,37 @@ pub fn evaluate_clustered_graph(
 ) -> Result<(Evaluation, Option<Vec<f64>>), SpnError> {
     let cfg = &model.config;
     let ctmc = Ctmc::from_graph(graph)?;
-    let absorption = ctmc.mean_time_to_absorption()?;
-
-    // Rate components: every cluster that has not locally failed accrues
-    // the per-cluster cost of its own population.
-    let rate_components: Vec<CostBreakdown> = graph
-        .states
+    // Every cluster that has not locally failed accrues the cost of its
+    // own population.
+    let blocks: Vec<_> = model
+        .cluster_places
         .iter()
-        .map(|m| {
-            let mut acc = CostBreakdown::default();
-            for p in &model.cluster_places {
-                if !cluster_failed(p, m) {
-                    acc = acc.add(&cost_breakdown(cfg, &population(p, m)));
-                }
-            }
-            acc
-        })
+        .map(|&p| (p, population_cost(cfg, p)))
         .collect();
-
-    // Eviction rekeys per cluster (a failed cluster's eviction transitions
-    // are guarded off, so they contribute nothing automatically).
-    let mut impulse_rates = vec![0.0; graph.state_count()];
-    for imp in clustered_eviction_impulses(model)? {
-        for (acc, v) in impulse_rates
-            .iter_mut()
-            .zip(imp.per_state(&model.net, graph))
-        {
-            *acc += v;
-        }
-    }
-
-    let mttsf = absorption.mtta;
-    let mut accumulated = CostBreakdown::default();
-    let mut accumulated_impulse = 0.0;
-    for (i, sojourn) in absorption.sojourn.iter().enumerate() {
-        if *sojourn > 0.0 {
-            accumulated = accumulated.add(&rate_components[i].scale(*sojourn));
-            accumulated_impulse += impulse_rates[i] * sojourn;
-        }
-    }
-    accumulated.rekey += accumulated_impulse;
-    let components = if mttsf > 0.0 {
-        accumulated.scale(1.0 / mttsf)
-    } else {
-        CostBreakdown::default()
+    let state_cost = |m: &Marking| {
+        blocks
+            .iter()
+            .filter(|(p, _)| !cluster_failed(p, m))
+            .fold(CostBreakdown::default(), |acc, (_, cost)| acc.add(&cost(m)))
     };
-
-    let (p_c1, p_c2) = absorbing_flux_split(model, graph, &absorption.sojourn);
-
-    let mut evaluation = Evaluation {
-        mttsf_seconds: mttsf,
-        c_total_hop_bits_per_sec: components.total(),
-        cost_components: components,
-        p_failure_c1: p_c1,
-        p_failure_c2: p_c2,
-        state_count: graph.state_count(),
-        edge_count: graph.edge_count(),
-        transient: None,
-    };
-    let survival = if mission_times.is_empty() {
-        None
-    } else {
-        let (curve, stats) =
-            ctmc.survival_curve_with_stats(mission_times, &TransientOptions::default());
-        evaluation.transient = Some(stats);
-        Some(curve)
-    };
-    Ok((evaluation, survival))
+    // Eviction rekeys per cluster: a failed cluster's eviction transitions
+    // are guarded off, so they stop charging automatically.
+    let charges = model
+        .cluster_places
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &p)| [(format!("T_IDS#{i}"), p), (format!("T_FA#{i}"), p)]);
+    let impulses = rekey_impulses(&model.net, cfg, charges)?;
+    let solved = evaluate_with_ctmc(
+        &model.net,
+        graph,
+        &ctmc,
+        state_cost,
+        &impulses,
+        |a| absorbing_flux_split(model, graph, &a.sojourn),
+        mission_times,
+    )?;
+    Ok((solved.evaluation, solved.survival))
 }
 
 /// Exact failure-cause split for a flat clustered graph: the probability
@@ -376,54 +290,6 @@ fn absorbing_flux_split(
     } else {
         (0.0, 0.0)
     }
-}
-
-/// Per-cluster eviction-rekey impulse rewards for a flat clustered net
-/// (every cluster's `T_IDS#i` / `T_FA#i` firing charges a GDH rekey of
-/// that cluster's current group size), shared by the exact evaluator and
-/// the SPN-simulation backend. A failed cluster's eviction transitions
-/// are guarded off, so they stop charging automatically.
-///
-/// # Errors
-/// Returns [`SpnError::InvalidModel`] if the net is missing an eviction
-/// transition.
-pub fn clustered_eviction_impulses(model: &ClusteredModel) -> Result<Vec<ImpulseReward>, SpnError> {
-    let mut out = Vec::new();
-    for (i, places) in model.cluster_places.iter().enumerate() {
-        let places = *places;
-        for base in ["T_IDS", "T_FA"] {
-            let name = format!("{base}#{i}");
-            let t = model
-                .net
-                .transition_by_name(&name)
-                .ok_or_else(|| SpnError::InvalidModel(format!("missing transition {name}")))?;
-            let cfg = model.config.clone();
-            out.push(ImpulseReward::new(
-                format!("evict-rekey-{name}"),
-                t,
-                move |m: &Marking| {
-                    let pop = population(&places, m);
-                    gdh_rekey_hop_bits(&cfg, pop.per_group_live())
-                },
-            ));
-        }
-    }
-    Ok(out)
-}
-
-/// A total-cost rate reward over a flat clustered net (the SPN-simulation
-/// counterpart of the exact per-state rates): each non-failed cluster
-/// contributes its own population's cost.
-pub fn clustered_total_cost_reward(model: &ClusteredModel) -> RateReward {
-    let cfg = model.config.clone();
-    let blocks = model.cluster_places.clone();
-    RateReward::new("c_total_rate", move |m| {
-        blocks
-            .iter()
-            .filter(|p| !cluster_failed(p, m))
-            .map(|p| cost_breakdown(&cfg, &population(p, m)).total())
-            .sum()
-    })
 }
 
 /// The parent inter-cluster model of the hierarchical path: one place per
@@ -507,31 +373,14 @@ fn simpson_breakdown(values: &[CostBreakdown], h: f64) -> CostBreakdown {
 }
 
 /// Piecewise-linear interpolation of probe samples onto an ascending grid
-/// (probe times bracket the grid by construction).
-fn lerp_grid(probe_t: &[f64], probe_v: &[f64], grid: &[f64]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(grid.len());
-    let mut seg = 0usize;
-    for &t in grid {
-        while seg + 2 < probe_t.len() && probe_t[seg + 1] < t {
-            seg += 1;
-        }
-        let (t0, t1) = (probe_t[seg], probe_t[seg + 1]);
-        let a = if t1 > t0 {
-            ((t - t0) / (t1 - t0)).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        out.push(probe_v[seg] * (1.0 - a) + probe_v[seg + 1] * a);
-    }
-    out
-}
-
-/// As [`lerp_grid`], componentwise over cost breakdowns.
-fn lerp_grid_breakdown(
+/// (probe times bracket the grid by construction); `mix(v0, v1, a)` is
+/// `v0·(1 − a) + v1·a` for the sample type.
+fn lerp_grid<T>(
     probe_t: &[f64],
-    probe_v: &[CostBreakdown],
+    probe_v: &[T],
     grid: &[f64],
-) -> Vec<CostBreakdown> {
+    mix: impl Fn(&T, &T, f64) -> T,
+) -> Vec<T> {
     let mut out = Vec::with_capacity(grid.len());
     let mut seg = 0usize;
     for &t in grid {
@@ -544,25 +393,50 @@ fn lerp_grid_breakdown(
         } else {
             0.0
         };
-        out.push(probe_v[seg].scale(1.0 - a).add(&probe_v[seg + 1].scale(a)));
+        out.push(mix(&probe_v[seg], &probe_v[seg + 1], a));
     }
     out
 }
 
-/// The hierarchical order-statistic composition over one solved cluster
-/// chain. Returns the system evaluation (state/edge counts still those of
-/// the cluster chain — the caller adds the parent aggregate) and the
-/// mission survival curve.
-#[allow(clippy::too_many_arguments)]
+/// The hierarchical path: solve the single-cluster chain, compose the
+/// system by failure order statistics, and explore the parent aggregate
+/// chain for the inter-cluster model (its states and edges join the
+/// cluster chain's in the reported counts).
 fn hierarchical_compose(
     cluster_model: &GcsIdsModel,
     cluster_graph: &ReachabilityGraph,
-    ctmc: &Ctmc,
-    cluster_mttsf: f64,
-    fallback_phi: f64,
     topo: &ClusterTopology,
     mission_times: &[f64],
-) -> Result<(Evaluation, Option<Vec<f64>>), SpnError> {
+    opts: &ExploreOptions,
+    unlumped_estimate: f64,
+) -> Result<ClusteredEvaluation, SpnError> {
+    let ctmc = Ctmc::from_graph(cluster_graph)?;
+    let absorption = ctmc.mean_time_to_absorption()?;
+    let cluster_mttsf = absorption.mtta;
+    if !(cluster_mttsf.is_finite() && cluster_mttsf > 0.0) {
+        return Err(SpnError::InvalidModel(format!(
+            "cluster MTTSF {cluster_mttsf} is not a positive finite time; cannot compose"
+        )));
+    }
+    // Marginal cause split as interpolation fallback for probe times where
+    // no absorbed mass exists yet.
+    let mut marginal_c1 = 0.0;
+    let mut marginal_all = 0.0;
+    for (i, &p) in absorption.absorption_probability.iter().enumerate() {
+        if p <= 0.0 {
+            continue;
+        }
+        marginal_all += p;
+        if cluster_graph.states[i].tokens(cluster_model.places.gf) > 0 {
+            marginal_c1 += p;
+        }
+    }
+    let fallback_phi = if marginal_all > 0.0 {
+        marginal_c1 / marginal_all
+    } else {
+        0.0
+    };
+
     let c = topo.clusters;
     let k = topo.failure_threshold;
     let topts = TransientOptions::default();
@@ -596,31 +470,23 @@ fn hierarchical_compose(
     // Quadratically-spaced probes front-load resolution where the cost
     // rate and the cause mix actually move.
     let places = cluster_model.places;
-    let cfg = &cluster_model.config;
-    let n = cluster_graph.state_count();
-    let mut state_rates: Vec<CostBreakdown> = (0..n)
+    let state_cost = cluster_model.state_cost();
+    let impulse_rates = impulse_rates(
+        &cluster_model.net,
+        cluster_graph,
+        &cluster_model.rekey_impulses()?,
+    );
+    let state_rates: Vec<CostBreakdown> = (0..cluster_graph.state_count())
         .map(|i| {
             if cluster_graph.absorbing[i] {
                 CostBreakdown::default()
             } else {
-                cost_breakdown(cfg, &population(&places, &cluster_graph.states[i]))
+                let mut rate = state_cost(&cluster_graph.states[i]);
+                rate.rekey += impulse_rates[i];
+                rate
             }
         })
         .collect();
-    let mut impulse_rates = vec![0.0; n];
-    for imp in eviction_impulses(cluster_model)? {
-        for (acc, v) in impulse_rates
-            .iter_mut()
-            .zip(imp.per_state(&cluster_model.net, cluster_graph))
-        {
-            *acc += v;
-        }
-    }
-    for i in 0..n {
-        if !cluster_graph.absorbing[i] {
-            state_rates[i].rekey += impulse_rates[i];
-        }
-    }
 
     const PROBES: usize = 33;
     let probe_times: Vec<f64> = (0..PROBES)
@@ -668,8 +534,12 @@ fn hierarchical_compose(
         probe_phi.push(last_phi.unwrap_or(fallback_phi));
     }
 
-    let rho_grid = lerp_grid_breakdown(&probe_times, &probe_rho, &grid);
-    let phi_grid = lerp_grid(&probe_times, &probe_phi, &grid);
+    let rho_grid = lerp_grid(&probe_times, &probe_rho, &grid, |v0, v1, a| {
+        v0.scale(1.0 - a).add(&v1.scale(a))
+    });
+    let phi_grid = lerp_grid(&probe_times, &probe_phi, &grid, |v0, v1, a| {
+        v0 * (1.0 - a) + v1 * a
+    });
 
     // --- compose ----------------------------------------------------------
     let s_sys: Vec<f64> = s_grid
@@ -739,17 +609,34 @@ fn hierarchical_compose(
         )
     };
 
+    // The parent inter-cluster model: one aggregate failure transition per
+    // cluster, explored through the same lumping pipeline (K+1 lumped
+    // states against the Σ_{j≤K} C(C,j) unlumped front).
+    let (parent_net, parent_canon) = parent_aggregate_model(cluster_mttsf, topo);
+    let orbits = (parent_canon.orbit_count(), parent_canon.member_count());
+    let parent_opts = ExploreOptions {
+        lumping: Some(parent_canon),
+        ..opts.clone()
+    };
+    let parent_graph = explore(&parent_net, &parent_opts)?;
+
     let evaluation = Evaluation {
         mttsf_seconds: mttsf_sys,
         c_total_hop_bits_per_sec: components.total(),
         cost_components: components,
         p_failure_c1: p_c1,
         p_failure_c2: p_c2,
-        state_count: cluster_graph.state_count(),
-        edge_count: cluster_graph.edge_count(),
+        state_count: cluster_graph.state_count() + parent_graph.state_count(),
+        edge_count: cluster_graph.edge_count() + parent_graph.edge_count(),
         transient: Some(tstats),
     };
-    Ok((evaluation, survival))
+    Ok(ClusteredEvaluation::new(
+        ClusteredPath::Hierarchical,
+        evaluation,
+        survival,
+        orbits,
+        unlumped_estimate,
+    ))
 }
 
 #[cfg(test)]
@@ -896,7 +783,9 @@ mod tests {
     #[test]
     fn single_cluster_degenerates_to_flat_model() {
         let cfg = tiny_cluster_cfg();
-        let clustered = evaluate_clustered(&cfg, &topo(1, 1)).unwrap();
+        let clustered =
+            evaluate_clustered_with_survival(&cfg, &topo(1, 1), &[], &ExploreOptions::default())
+                .unwrap();
         let plain = evaluate(&cfg).unwrap();
         let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-300);
         assert!(rel(clustered.evaluation.mttsf_seconds, plain.mttsf_seconds) < 1e-9);
@@ -941,8 +830,9 @@ mod tests {
     #[test]
     fn invalid_topology_is_reported() {
         let cfg = tiny_cluster_cfg();
-        assert!(evaluate_clustered(&cfg, &topo(0, 1)).is_err());
-        assert!(evaluate_clustered(&cfg, &topo(3, 4)).is_err());
-        assert!(evaluate_clustered(&cfg, &topo(3, 0)).is_err());
+        for (c, k) in [(0, 1), (3, 4), (3, 0)] {
+            let opts = ExploreOptions::default();
+            assert!(evaluate_clustered_with_survival(&cfg, &topo(c, k), &[], &opts).is_err());
+        }
     }
 }

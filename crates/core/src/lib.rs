@@ -13,8 +13,6 @@
 //! * [`metrics`] — MTTSF and Ĉtotal evaluation via the CTMC solvers;
 //! * [`clustered`] — symmetry-lumped and hierarchically composed exact
 //!   evaluation of K-of-C clustered deployments (100+-node systems);
-//! * [`sweep`] — TIDS / m / detection-shape parameter sweeps and optimal
-//!   interval identification (Figures 2–5);
 //! * [`pareto`] — design-space enumeration and the MTTSF-vs-cost Pareto
 //!   frontier (the paper's closing design-selection recommendation);
 //! * [`des`] — a protocol-level discrete-event simulation (actual votes,
@@ -48,11 +46,9 @@ pub mod metrics;
 pub mod model;
 pub mod pareto;
 pub mod scenario_model;
-pub mod sweep;
 
 pub use clustered::{
-    evaluate_clustered, evaluate_clustered_with_survival, ClusteredEvaluation, ClusteredPath,
-    LumpingStats,
+    evaluate_clustered_with_survival, ClusteredEvaluation, ClusteredPath, LumpingStats,
 };
 pub use config::{ClusterTopology, SystemConfig};
 pub use cost::CostBreakdown;
@@ -62,8 +58,6 @@ pub use metrics::{evaluate, Evaluation};
 pub use model::{build_clustered_model, clustered_canonicalizer, ClusteredModel};
 pub use pareto::{design_space, pareto_front, DesignPoint};
 pub use scenario_model::{
-    build_scenario_model, evaluate_scenario, evaluate_scenario_graph, scenario_cost_reward,
-    scenario_failed, scenario_impulses, scenario_system, DetectionTotals, ScenarioModel,
-    ScenarioPlaces,
+    build_scenario_model, evaluate_scenario, evaluate_scenario_graph, scenario_failed,
+    scenario_system, DetectionTotals, ScenarioModel, ScenarioPlaces,
 };
-pub use sweep::{optimal_tids_for_mttsf, sweep_tids, SweepPoint, SweepSeries};

@@ -8,9 +8,10 @@
 
 use crate::config::SystemConfig;
 use crate::cost::{cost_breakdown, gdh_rekey_hop_bits, CostBreakdown};
-use crate::model::{build_model, population, GcsIdsModel};
-use spn::ctmc::{Ctmc, CtmcTemplate, TransientOptions};
+use crate::model::{build_model, population, GcsIdsModel, Places};
+use spn::ctmc::{AbsorptionAnalysis, Ctmc, CtmcTemplate, TransientOptions};
 use spn::error::SpnError;
+use spn::model::{Marking, PlaceId, Spn};
 use spn::reach::{explore, ExploreOptions, ReachabilityGraph};
 use spn::reward::{ImpulseReward, RateReward};
 use spn::transient::TransientStats;
@@ -48,7 +49,7 @@ pub fn evaluate(cfg: &SystemConfig) -> Result<Evaluation, SpnError> {
     cfg.validate().map_err(SpnError::InvalidModel)?;
     let model = build_model(cfg);
     let graph = explore(&model.net, &ExploreOptions::default())?;
-    evaluate_prebuilt(&model, &graph)
+    evaluate_graph(&model, &graph, &[]).map(|(e, _)| e)
 }
 
 /// Explore-once-solve-many evaluator for rate-only configuration families.
@@ -205,7 +206,7 @@ impl ExactTemplate {
             scratch.graph.copy_rates_from(&self.graph);
             scratch.graph.reweight_in_place(&model.net)?;
             self.ctmc.refresh(&scratch.graph, &mut scratch.ctmc)?;
-            evaluate_with_ctmc(&model, &scratch.graph, &scratch.ctmc, mission_times)
+            solve_flat(&model, &scratch.graph, &scratch.ctmc, mission_times)
         })();
         self.scratch
             .lock()
@@ -258,130 +259,188 @@ pub fn evaluate_graph(
     mission_times: &[f64],
 ) -> Result<(Evaluation, Option<Vec<f64>>), SpnError> {
     let ctmc = Ctmc::from_graph(graph)?;
-    evaluate_with_ctmc(model, graph, &ctmc, mission_times)
+    solve_flat(model, graph, &ctmc, mission_times)
 }
 
-/// Exact mission survival `P[no security failure by t]` for each horizon in
-/// the ascending grid `mission_times`: one uniformization sweep over the
-/// tangible CTMC, reading off the non-absorbed probability mass — the
-/// transient counterpart of the MTTSF absorption solve.
-///
-/// # Errors
-/// Returns [`SpnError::InvalidModel`] for a degenerate graph.
-pub fn survival_exact(
-    graph: &ReachabilityGraph,
-    mission_times: &[f64],
-) -> Result<Vec<f64>, SpnError> {
-    let ctmc = Ctmc::from_graph(graph)?;
-    Ok(ctmc.survival_curve(mission_times, &TransientOptions::default()))
-}
-
-/// The eviction-rekey impulse rewards (a GDH rekey charged on every `T_IDS`
-/// or `T_FA` firing) shared by the exact evaluator and the SPN-simulation
-/// backend.
-///
-/// # Errors
-/// Returns [`SpnError::InvalidModel`] if the model is missing the eviction
-/// transitions.
-pub fn eviction_impulses(model: &GcsIdsModel) -> Result<Vec<ImpulseReward>, SpnError> {
-    let cfg = &model.config;
-    let places = model.places;
-    ["T_IDS", "T_FA"]
-        .iter()
-        .map(|name| {
-            let t = model
-                .net
-                .transition_by_name(name)
-                .ok_or_else(|| SpnError::InvalidModel(format!("missing transition {name}")))?;
-            Ok(ImpulseReward::new(format!("evict-rekey-{name}"), t, {
-                let cfg = cfg.clone();
-                move |m: &spn::model::Marking| {
-                    let pop = population(&places, m);
-                    gdh_rekey_hop_bits(&cfg, pop.per_group_live())
-                }
-            }))
-        })
-        .collect()
-}
-
-/// Evaluate a model whose reachability graph is already known (lets sweeps
-/// that only change rates reuse the exploration when the structure is
-/// unchanged — note rates are baked into edges, so this is only valid for
-/// the graph built from the same model).
-pub fn evaluate_prebuilt(
-    model: &GcsIdsModel,
-    graph: &ReachabilityGraph,
-) -> Result<Evaluation, SpnError> {
-    let ctmc = Ctmc::from_graph(graph)?;
-    evaluate_with_ctmc(model, graph, &ctmc, &[]).map(|(e, _)| e)
-}
-
-/// The shared evaluation core: steady metrics (plus the optional survival
-/// curve) on a CTMC that is already built — freshly via [`Ctmc::from_graph`]
-/// on the one-shot paths, or refreshed in place on the rebuild-free
-/// template path. `ctmc` must be the chain of `graph`'s current rates.
-pub(crate) fn evaluate_with_ctmc(
+/// The flat model on the reward-solve core: its cost rule, its eviction
+/// rekeys, and the `GF`-token failure split.
+fn solve_flat(
     model: &GcsIdsModel,
     graph: &ReachabilityGraph,
     ctmc: &Ctmc,
     mission_times: &[f64],
 ) -> Result<(Evaluation, Option<Vec<f64>>), SpnError> {
-    let cfg = &model.config;
-    let places = model.places;
-    let absorption = ctmc.mean_time_to_absorption()?;
+    let gf = model.places.gf;
+    let solved = evaluate_with_ctmc(
+        &model.net,
+        graph,
+        ctmc,
+        model.state_cost(),
+        &model.rekey_impulses()?,
+        |a| gf_split(graph, a, gf),
+        mission_times,
+    )?;
+    Ok((solved.evaluation, solved.survival))
+}
 
-    // --- cost rewards -----------------------------------------------------
-    // Rate components evaluated per state.
-    let rate_components: Vec<CostBreakdown> = graph
-        .states
-        .iter()
-        .map(|m| cost_breakdown(cfg, &population(&places, m)))
-        .collect();
+impl GcsIdsModel {
+    /// The flat model's per-state cost rule: the six components at the
+    /// current population. The exact core and the SPN simulation both
+    /// charge it.
+    pub fn state_cost(&self) -> impl Fn(&Marking) -> CostBreakdown + Send + Sync + 'static {
+        population_cost(&self.config, self.places)
+    }
 
-    // Impulse rewards: a GDH rekey per eviction (T_IDS / T_FA firing).
-    let mut impulse_rates = vec![0.0; graph.state_count()];
-    for imp in eviction_impulses(model)? {
-        for (acc, v) in impulse_rates
-            .iter_mut()
-            .zip(imp.per_state(&model.net, graph))
-        {
+    /// The flat model's rekey impulses: a GDH rekey on every eviction
+    /// (`T_IDS` or `T_FA` firing).
+    ///
+    /// # Errors
+    /// Returns [`SpnError::InvalidModel`] if the net is missing an
+    /// eviction transition.
+    pub fn rekey_impulses(&self) -> Result<Vec<ImpulseReward>, SpnError> {
+        rekey_impulses(
+            &self.net,
+            &self.config,
+            [("T_IDS", self.places), ("T_FA", self.places)],
+        )
+    }
+}
+
+/// The cost of one GCS/IDS block as a per-state rule: the six §2.5
+/// components at the population held in `places`.
+pub(crate) fn population_cost(
+    cfg: &SystemConfig,
+    places: Places,
+) -> impl Fn(&Marking) -> CostBreakdown + Send + Sync + 'static {
+    let cfg = cfg.clone();
+    move |m| cost_breakdown(&cfg, &population(&places, m))
+}
+
+/// The total of a per-state cost rule as a rate reward — what the SPN
+/// simulation integrates where the exact core weights by sojourn.
+pub fn cost_rate_reward(
+    state_cost: impl Fn(&Marking) -> CostBreakdown + Send + Sync + 'static,
+) -> RateReward {
+    RateReward::new("c_total_rate", move |m| state_cost(m).total())
+}
+
+/// Rekey impulse rewards: every firing of a named transition charges one
+/// GDH rekey of the group size held in its `places` block (read off the
+/// pre-firing marking). Evictions, quarantine releases, served throttle
+/// rekeys and per-cluster evictions are all charged through here.
+///
+/// # Errors
+/// Returns [`SpnError::InvalidModel`] if the net is missing a named
+/// transition.
+pub(crate) fn rekey_impulses<N: AsRef<str>>(
+    net: &Spn,
+    cfg: &SystemConfig,
+    charges: impl IntoIterator<Item = (N, Places)>,
+) -> Result<Vec<ImpulseReward>, SpnError> {
+    charges
+        .into_iter()
+        .map(|(name, places)| {
+            let name = name.as_ref();
+            let t = net
+                .transition_by_name(name)
+                .ok_or_else(|| SpnError::InvalidModel(format!("missing transition {name}")))?;
+            let cfg = cfg.clone();
+            Ok(ImpulseReward::new(
+                format!("rekey-{name}"),
+                t,
+                move |m: &Marking| {
+                    gdh_rekey_hop_bits(&cfg, population(&places, m).per_group_live())
+                },
+            ))
+        })
+        .collect()
+}
+
+/// Per-state impulse-equivalent rates of `impulses`, summed in list order.
+pub(crate) fn impulse_rates(
+    net: &Spn,
+    graph: &ReachabilityGraph,
+    impulses: &[ImpulseReward],
+) -> Vec<f64> {
+    let mut rates = vec![0.0; graph.state_count()];
+    for imp in impulses {
+        for (acc, v) in rates.iter_mut().zip(imp.per_state(net, graph)) {
             *acc += v;
         }
     }
+    rates
+}
 
-    let mttsf = absorption.mtta;
-    // Accumulate each component over the sojourn vector.
-    let mut accumulated = CostBreakdown::default();
-    let mut accumulated_impulse = 0.0;
-    for (i, sojourn) in absorption.sojourn.iter().enumerate() {
-        if *sojourn > 0.0 {
-            accumulated = accumulated.add(&rate_components[i].scale(*sojourn));
-            accumulated_impulse += impulse_rates[i] * sojourn;
-        }
-    }
-    // Eviction rekeys belong to the rekey component.
-    accumulated.rekey += accumulated_impulse;
-
-    let components = if mttsf > 0.0 {
-        accumulated.scale(1.0 / mttsf)
-    } else {
-        CostBreakdown::default()
-    };
-
-    // --- failure-cause split ------------------------------------------------
+/// `(P[C1], P[C2])` from the absorbing states: absorption with a `GF`
+/// token is a data leak, any other a Byzantine capture.
+pub(crate) fn gf_split(
+    graph: &ReachabilityGraph,
+    absorption: &AbsorptionAnalysis,
+    gf: PlaceId,
+) -> (f64, f64) {
     let mut p_c1 = 0.0;
     let mut p_c2 = 0.0;
     for (i, &p) in absorption.absorption_probability.iter().enumerate() {
         if p <= 0.0 {
             continue;
         }
-        let m = &graph.states[i];
-        if m.tokens(places.gf) > 0 {
+        if graph.states[i].tokens(gf) > 0 {
             p_c1 += p;
         } else {
             p_c2 += p;
         }
     }
+    (p_c1, p_c2)
+}
+
+/// What the reward-solve core returns.
+pub(crate) struct Solved {
+    pub(crate) evaluation: Evaluation,
+    /// Survival on the mission grid (`None` for an empty grid).
+    pub(crate) survival: Option<Vec<f64>>,
+    /// Expected time in each state until absorption, for totals a model
+    /// reads beyond the standard metrics.
+    pub(crate) sojourn: Vec<f64>,
+}
+
+/// The reward-solve core every exact model runs on a built `ctmc` (the
+/// chain of `graph`'s current rates): the absorption solve, the
+/// sojourn-weighted cost of `state_cost` plus the `impulses`, the
+/// `1/MTTSF` scaling, the failure split `failure_split` reads off the
+/// absorption, and the survival sweep when `mission_times` is non-empty.
+///
+/// # Errors
+/// Propagates solver failures.
+pub(crate) fn evaluate_with_ctmc(
+    net: &Spn,
+    graph: &ReachabilityGraph,
+    ctmc: &Ctmc,
+    state_cost: impl Fn(&Marking) -> CostBreakdown,
+    impulses: &[ImpulseReward],
+    failure_split: impl FnOnce(&AbsorptionAnalysis) -> (f64, f64),
+    mission_times: &[f64],
+) -> Result<Solved, SpnError> {
+    let absorption = ctmc.mean_time_to_absorption()?;
+    let impulse_rates = impulse_rates(net, graph, impulses);
+
+    let mttsf = absorption.mtta;
+    // The rate components and the impulse sum accumulate separately over
+    // the sojourn vector; the rekey impulses then join the rekey component.
+    let mut accumulated = CostBreakdown::default();
+    let mut accumulated_impulse = 0.0;
+    for (i, &sojourn) in absorption.sojourn.iter().enumerate() {
+        if sojourn > 0.0 {
+            accumulated = accumulated.add(&state_cost(&graph.states[i]).scale(sojourn));
+            accumulated_impulse += impulse_rates[i] * sojourn;
+        }
+    }
+    accumulated.rekey += accumulated_impulse;
+    let components = if mttsf > 0.0 {
+        accumulated.scale(1.0 / mttsf)
+    } else {
+        CostBreakdown::default()
+    };
+    let (p_c1, p_c2) = failure_split(&absorption);
 
     let mut evaluation = Evaluation {
         mttsf_seconds: mttsf,
@@ -401,16 +460,10 @@ pub(crate) fn evaluate_with_ctmc(
         evaluation.transient = Some(stats);
         Some(curve)
     };
-    Ok((evaluation, survival))
-}
-
-/// A RateReward adapter for the total cost (exposed for reuse by the
-/// simulation validator, which integrates the same per-state rates).
-pub fn total_cost_reward(cfg: &SystemConfig, model: &GcsIdsModel) -> RateReward {
-    let cfg = cfg.clone();
-    let places = model.places;
-    RateReward::new("c_total_rate", move |m| {
-        cost_breakdown(&cfg, &population(&places, m)).total()
+    Ok(Solved {
+        evaluation,
+        survival,
+        sojourn: absorption.sojourn,
     })
 }
 
@@ -572,10 +625,10 @@ mod tests {
         let cfg = small(12, 3, 120.0);
         let model = build_model(&cfg);
         let graph = explore(&model.net, &ExploreOptions::default()).unwrap();
-        let e = evaluate_prebuilt(&model, &graph).unwrap();
+        let (e, _) = evaluate_graph(&model, &graph, &[]).unwrap();
         let m = e.mttsf_seconds;
         let times = [0.0, 0.25 * m, m, 4.0 * m];
-        let s = survival_exact(&graph, &times).unwrap();
+        let s = evaluate_graph(&model, &graph, &times).unwrap().1.unwrap();
         assert!((s[0] - 1.0).abs() < 1e-9);
         for w in s.windows(2) {
             assert!(w[1] <= w[0] + 1e-9, "{s:?}");
@@ -594,7 +647,10 @@ mod tests {
             .unwrap();
         let model = build_model(&variant);
         let graph = explore(&model.net, &ExploreOptions::default()).unwrap();
-        let direct = survival_exact(&graph, &[1.0e4, 1.0e5]).unwrap();
+        let direct = evaluate_graph(&model, &graph, &[1.0e4, 1.0e5])
+            .unwrap()
+            .1
+            .unwrap();
         let surv = surv.unwrap();
         for (a, b) in surv.iter().zip(&direct) {
             assert!((a - b).abs() < 1e-9, "{surv:?} vs {direct:?}");
@@ -609,7 +665,7 @@ mod tests {
     fn total_cost_reward_matches_breakdown() {
         let cfg = small(10, 3, 120.0);
         let model = build_model(&cfg);
-        let r = total_cost_reward(&cfg, &model);
+        let r = cost_rate_reward(model.state_cost());
         let init = model.net.initial_marking();
         let direct = cost_breakdown(&cfg, &population(&model.places, &init)).total();
         assert!(((r.rate)(&init) - direct).abs() < 1e-9);

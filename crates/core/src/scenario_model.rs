@@ -27,18 +27,18 @@
 //! [`crate::metrics::evaluate`].
 
 use crate::config::SystemConfig;
-use crate::cost::{cost_breakdown, gdh_rekey_hop_bits, CostBreakdown};
-use crate::metrics::Evaluation;
+use crate::cost::CostBreakdown;
+use crate::metrics::{evaluate_with_ctmc, gf_split, population_cost, rekey_impulses, Evaluation};
 use crate::model::{c2_holds, pfn_for, pfp_for, population, Places, Population};
 use ids::voting::{
     p_false_negative_with_collusion, p_false_positive_with_collusion, CollusionModel,
 };
 use scenario::{AttackerStrategy, ResponsePolicy, ScenarioConfig};
-use spn::ctmc::{Ctmc, TransientOptions};
+use spn::ctmc::Ctmc;
 use spn::error::SpnError;
 use spn::model::{Marking, PlaceId, Spn, SpnBuilder, TransitionDef};
 use spn::reach::ReachabilityGraph;
-use spn::reward::{ImpulseReward, RateReward};
+use spn::reward::ImpulseReward;
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 
@@ -417,50 +417,34 @@ pub fn build_scenario_model(cfg: &SystemConfig, sc: &ScenarioConfig) -> Scenario
     }
 }
 
-/// The response policy's rekey action costs as impulse rewards, shared by
-/// the exact evaluator and the SPN-simulation backend: evict charges one
-/// GDH rekey per conviction; quarantine additionally charges the rejoin
-/// rekeys of released nodes (`T_REL_G`, `T_REL_B` — a confirmed eviction
-/// `T_CONF_B` needs none, the node is already keyed out); throttle charges
-/// one rekey per *served* queue entry (`T_RKSRV`) and nothing at
-/// conviction time.
-///
-/// # Errors
-/// Returns [`SpnError::InvalidModel`] if the model is missing one of the
-/// policy's transitions.
-pub fn scenario_impulses(model: &ScenarioModel) -> Result<Vec<ImpulseReward>, SpnError> {
-    let names: &[&str] = match model.scenario.response {
-        ResponsePolicy::Evict => &["T_IDS", "T_FA"],
-        ResponsePolicy::QuarantineRejoin { .. } => &["T_IDS", "T_FA", "T_REL_G", "T_REL_B"],
-        ResponsePolicy::RekeyThrottle { .. } => &["T_RKSRV"],
-    };
-    let places = model.places;
-    names
-        .iter()
-        .map(|name| {
-            let t = model
-                .net
-                .transition_by_name(name)
-                .ok_or_else(|| SpnError::InvalidModel(format!("missing transition {name}")))?;
-            Ok(ImpulseReward::new(format!("scenario-rekey-{name}"), t, {
-                let cfg = model.config.clone();
-                move |m: &Marking| {
-                    let pop = population(&places.base, m);
-                    gdh_rekey_hop_bits(&cfg, pop.per_group_live())
-                }
-            }))
-        })
-        .collect()
-}
+impl ScenarioModel {
+    /// The scenario model's per-state cost rule: the paper block's
+    /// population cost (quarantined nodes are cryptographically outside
+    /// every group and accrue no traffic). The exact core and the SPN
+    /// simulation both charge it.
+    pub fn state_cost(&self) -> impl Fn(&Marking) -> CostBreakdown + Send + Sync + 'static {
+        population_cost(&self.config, self.places.base)
+    }
 
-/// Total cost rate reward over the scenario net (quarantined nodes are
-/// cryptographically outside every group and accrue no traffic).
-pub fn scenario_cost_reward(model: &ScenarioModel) -> RateReward {
-    let cfg = model.config.clone();
-    let places = model.places;
-    RateReward::new("c_total_rate", move |m| {
-        cost_breakdown(&cfg, &population(&places.base, m)).total()
-    })
+    /// The response policy's rekey action costs as impulse rewards: evict
+    /// charges one GDH rekey per conviction; quarantine additionally
+    /// charges the rejoin rekeys of released nodes (`T_REL_G`, `T_REL_B` —
+    /// a confirmed eviction `T_CONF_B` needs none, the node is already
+    /// keyed out); throttle charges one rekey per *served* queue entry
+    /// (`T_RKSRV`) and nothing at conviction time.
+    ///
+    /// # Errors
+    /// Returns [`SpnError::InvalidModel`] if the net is missing one of
+    /// the policy's transitions.
+    pub fn rekey_impulses(&self) -> Result<Vec<ImpulseReward>, SpnError> {
+        let names: &[&str] = match self.scenario.response {
+            ResponsePolicy::Evict => &["T_IDS", "T_FA"],
+            ResponsePolicy::QuarantineRejoin { .. } => &["T_IDS", "T_FA", "T_REL_G", "T_REL_B"],
+            ResponsePolicy::RekeyThrottle { .. } => &["T_RKSRV"],
+        };
+        let base = self.places.base;
+        rekey_impulses(&self.net, &self.config, names.iter().map(|&n| (n, base)))
+    }
 }
 
 /// Expected transition-firing totals over one absorption run of the exact
@@ -490,54 +474,16 @@ pub fn evaluate_scenario_graph(
     mission_times: &[f64],
 ) -> Result<(Evaluation, Option<Vec<f64>>, DetectionTotals), SpnError> {
     let ctmc = Ctmc::from_graph(graph)?;
-    let cfg = &model.config;
-    let places = model.places;
-    let absorption = ctmc.mean_time_to_absorption()?;
-
-    let rate_components: Vec<CostBreakdown> = graph
-        .states
-        .iter()
-        .map(|m| cost_breakdown(cfg, &population(&places.base, m)))
-        .collect();
-
-    let mut impulse_rates = vec![0.0; graph.state_count()];
-    for imp in scenario_impulses(model)? {
-        for (acc, v) in impulse_rates
-            .iter_mut()
-            .zip(imp.per_state(&model.net, graph))
-        {
-            *acc += v;
-        }
-    }
-
-    let mttsf = absorption.mtta;
-    let mut accumulated = CostBreakdown::default();
-    let mut accumulated_impulse = 0.0;
-    for (i, sojourn) in absorption.sojourn.iter().enumerate() {
-        if *sojourn > 0.0 {
-            accumulated = accumulated.add(&rate_components[i].scale(*sojourn));
-            accumulated_impulse += impulse_rates[i] * sojourn;
-        }
-    }
-    accumulated.rekey += accumulated_impulse;
-    let components = if mttsf > 0.0 {
-        accumulated.scale(1.0 / mttsf)
-    } else {
-        CostBreakdown::default()
-    };
-
-    let mut p_c1 = 0.0;
-    let mut p_c2 = 0.0;
-    for (i, &p) in absorption.absorption_probability.iter().enumerate() {
-        if p <= 0.0 {
-            continue;
-        }
-        if graph.states[i].tokens(places.base.gf) > 0 {
-            p_c1 += p;
-        } else {
-            p_c2 += p;
-        }
-    }
+    let gf = model.places.base.gf;
+    let solved = evaluate_with_ctmc(
+        &model.net,
+        graph,
+        &ctmc,
+        model.state_cost(),
+        &model.rekey_impulses()?,
+        |a| gf_split(graph, a, gf),
+        mission_times,
+    )?;
 
     // Detection-quality totals: expected firing counts from the sojourn
     // vector and the explored edge rates (only enabled transitions appear
@@ -553,7 +499,7 @@ pub fn evaluate_scenario_graph(
     let t_fa = lookup("T_FA")?;
     let mut detection = DetectionTotals::default();
     for (i, edges) in graph.edges.iter().enumerate() {
-        let s = absorption.sojourn[i];
+        let s = solved.sojourn[i];
         if s <= 0.0 {
             continue;
         }
@@ -568,25 +514,7 @@ pub fn evaluate_scenario_graph(
         }
     }
 
-    let mut evaluation = Evaluation {
-        mttsf_seconds: mttsf,
-        c_total_hop_bits_per_sec: components.total(),
-        cost_components: components,
-        p_failure_c1: p_c1,
-        p_failure_c2: p_c2,
-        state_count: graph.state_count(),
-        edge_count: graph.edge_count(),
-        transient: None,
-    };
-    let survival = if mission_times.is_empty() {
-        None
-    } else {
-        let (curve, stats) =
-            ctmc.survival_curve_with_stats(mission_times, &TransientOptions::default());
-        evaluation.transient = Some(stats);
-        Some(curve)
-    };
-    Ok((evaluation, survival, detection))
+    Ok((solved.evaluation, solved.survival, detection))
 }
 
 /// One-shot scenario evaluation: build, explore, evaluate.

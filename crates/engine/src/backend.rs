@@ -16,12 +16,9 @@ use gcsids::clustered::evaluate_clustered_with_survival;
 use gcsids::config::ClusterTopology;
 use gcsids::des::{run_des, DesConfig, DesOutcome, FailureCause};
 use gcsids::des_mobility::MobilityDesConfig;
-use gcsids::metrics::{eviction_impulses, total_cost_reward, ExactTemplate};
+use gcsids::metrics::{cost_rate_reward, ExactTemplate};
 use gcsids::model::{build_model, Places};
-use gcsids::{
-    build_scenario_model, evaluate_scenario_graph, scenario_cost_reward, scenario_impulses,
-    DetectionTotals,
-};
+use gcsids::{build_scenario_model, evaluate_scenario_graph, DetectionTotals};
 use numerics::replicate::{run_indexed, run_plan_observed, Completed, OutcomeSink, Replicate};
 use numerics::rng::child_seed;
 use numerics::stats::{SurvivalAccumulator, Welford};
@@ -138,22 +135,48 @@ impl ExactBackend {
                 "scenario specs are not template-batchable — use Backend::run".into(),
             ));
         }
-        // detlint::allow(D002): feeds the report's explicit wall_seconds timing field only
-        let t0 = Instant::now();
-        let (e, survival) = template.evaluate_with_survival(&spec.system, &spec.mission_times)?;
-        Ok(Self::report_from_evaluation(
-            spec,
-            &e,
-            survival,
-            t0.elapsed().as_secs_f64(),
-        ))
+        timed(|| {
+            let (e, survival) =
+                template.evaluate_with_survival(&spec.system, &spec.mission_times)?;
+            Ok(Self::report_from_evaluation(spec, &e, survival))
+        })
+    }
+
+    /// One standalone solve of a validated spec. It runs on the freshly
+    /// explored graph directly; the template/re-weight machinery only pays
+    /// off across a batch.
+    fn solve(spec: &ScenarioSpec, budget: &RunBudget) -> Result<RunReport, EngineError> {
+        let opts = ExploreOptions {
+            max_states: budget.max_states,
+            ..Default::default()
+        };
+        if let Some(topo) = &spec.clustered {
+            let ce =
+                evaluate_clustered_with_survival(&spec.system, topo, &spec.mission_times, &opts)?;
+            let mut report = Self::report_from_evaluation(spec, &ce.evaluation, ce.survival);
+            report.lumping_reduction = Some(ce.stats.reduction);
+            return Ok(report);
+        }
+        if let Some(sc) = &spec.scenario {
+            let model = build_scenario_model(&spec.system, sc);
+            let graph = spn::reach::explore(&model.net, &opts)?;
+            let (e, survival, totals) =
+                evaluate_scenario_graph(&model, &graph, &spec.mission_times)?;
+            let mut report = Self::report_from_evaluation(spec, &e, survival);
+            report.detection = Some(exact_detection(&totals));
+            return Ok(report);
+        }
+        let model = build_model(&spec.system);
+        let graph = spn::reach::explore(&model.net, &opts)?;
+        // One CTMC build serves both the absorption and the survival solve.
+        let (e, survival) = gcsids::metrics::evaluate_graph(&model, &graph, &spec.mission_times)?;
+        Ok(Self::report_from_evaluation(spec, &e, survival))
     }
 
     fn report_from_evaluation(
         spec: &ScenarioSpec,
         e: &gcsids::metrics::Evaluation,
         survival: Option<Vec<f64>>,
-        wall_seconds: f64,
     ) -> RunReport {
         RunReport {
             scenario: spec.name.clone(),
@@ -180,7 +203,7 @@ impl ExactBackend {
                     .zip(s.into_iter().map(Estimate::exact))
                     .collect()
             }),
-            wall_seconds,
+            wall_seconds: 0.0,
             template_cache: None,
             transient: e.transient.as_ref().map(|s| crate::report::TransientInfo {
                 matvecs: s.matvecs,
@@ -237,47 +260,18 @@ impl Backend for ExactBackend {
 
     fn run(&self, spec: &ScenarioSpec, budget: &RunBudget) -> Result<RunReport, EngineError> {
         spec.validate()?;
-        // detlint::allow(D002): feeds the report's explicit wall_seconds timing field only
-        let t0 = Instant::now();
-        // A standalone run solves on the freshly explored graph directly;
-        // the template/re-weight machinery only pays off across a batch.
-        let opts = ExploreOptions {
-            max_states: budget.max_states,
-            ..Default::default()
-        };
-        if let Some(topo) = &spec.clustered {
-            let ce =
-                evaluate_clustered_with_survival(&spec.system, topo, &spec.mission_times, &opts)?;
-            let mut report = Self::report_from_evaluation(
-                spec,
-                &ce.evaluation,
-                ce.survival,
-                t0.elapsed().as_secs_f64(),
-            );
-            report.lumping_reduction = Some(ce.stats.reduction);
-            return Ok(report);
-        }
-        if let Some(sc) = &spec.scenario {
-            let model = build_scenario_model(&spec.system, sc);
-            let graph = spn::reach::explore(&model.net, &opts)?;
-            let (e, survival, totals) =
-                evaluate_scenario_graph(&model, &graph, &spec.mission_times)?;
-            let mut report =
-                Self::report_from_evaluation(spec, &e, survival, t0.elapsed().as_secs_f64());
-            report.detection = Some(exact_detection(&totals));
-            return Ok(report);
-        }
-        let model = build_model(&spec.system);
-        let graph = spn::reach::explore(&model.net, &opts)?;
-        // One CTMC build serves both the absorption and the survival solve.
-        let (e, survival) = gcsids::metrics::evaluate_graph(&model, &graph, &spec.mission_times)?;
-        Ok(Self::report_from_evaluation(
-            spec,
-            &e,
-            survival,
-            t0.elapsed().as_secs_f64(),
-        ))
+        timed(|| Self::solve(spec, budget))
     }
+}
+
+/// Run `f` and stamp the report it returns with the wall time it took —
+/// the one place the backends read the clock.
+fn timed(f: impl FnOnce() -> Result<RunReport, EngineError>) -> Result<RunReport, EngineError> {
+    // detlint::allow(D002): feeds the report's explicit wall_seconds timing field only
+    let t0 = Instant::now();
+    let mut report = f()?;
+    report.wall_seconds = t0.elapsed().as_secs_f64();
+    Ok(report)
 }
 
 /// The per-replication summary every stochastic backend reduces to before
@@ -399,7 +393,6 @@ impl StochasticSink {
         kind: BackendKind,
         replications: u64,
         target_met: Option<bool>,
-        wall: f64,
     ) -> RunReport {
         let ended = (self.c1 + self.c2 + self.other) as f64;
         let failure = if ended > 0.0 {
@@ -445,7 +438,7 @@ impl StochasticSink {
             zero_duration: Some(self.zero_duration),
             target_met,
             survival,
-            wall_seconds: wall,
+            wall_seconds: 0.0,
             template_cache: None,
             transient: None,
             detection,
@@ -540,7 +533,6 @@ fn run_stochastic(
     spec: &ScenarioSpec,
     budget: &RunBudget,
     kind: BackendKind,
-    t0: Instant,
     progress: &mut dyn FnMut(BatchProgress),
 ) -> Result<RunReport, EngineError> {
     let plan = budget.plan(spec);
@@ -563,13 +555,9 @@ fn run_stochastic(
     if let Some(e) = done.sink.error {
         return Err(EngineError::Solver(e));
     }
-    Ok(done.sink.into_report(
-        spec,
-        kind,
-        done.replications,
-        done.target_met,
-        t0.elapsed().as_secs_f64(),
-    ))
+    Ok(done
+        .sink
+        .into_report(spec, kind, done.replications, done.target_met))
 }
 
 /// Classify how a single-system SPN replication ended from its final
@@ -618,7 +606,8 @@ impl Replicate for SpnSimTask<'_> {
 /// The net, rewards, and detection handles an SPN-sim run plays —
 /// scenario-aware: a spec with a scenario plays the scenario net with the
 /// response policy's action costs; one without plays the paper net
-/// unchanged.
+/// unchanged. The rewards are the model's own cost rule and rekey
+/// impulses, the charges the exact core weights by sojourn.
 struct SpnSimSetup {
     net: Spn,
     rewards: RewardSet,
@@ -629,10 +618,10 @@ struct SpnSimSetup {
 fn spn_sim_setup(spec: &ScenarioSpec) -> Result<SpnSimSetup, EngineError> {
     if let Some(sc) = &spec.scenario {
         let model = build_scenario_model(&spec.system, sc);
-        let mut rewards = RewardSet::new().with_rate(scenario_cost_reward(&model));
-        for imp in scenario_impulses(&model)? {
-            rewards = rewards.with_impulse(imp);
-        }
+        let rewards = RewardSet {
+            rates: vec![cost_rate_reward(model.state_cost())],
+            impulses: model.rekey_impulses()?,
+        };
         let lookup = |name: &str| {
             model.net.transition_by_name(name).ok_or_else(|| {
                 EngineError::Solver(SpnError::InvalidModel(format!("missing transition {name}")))
@@ -647,10 +636,10 @@ fn spn_sim_setup(spec: &ScenarioSpec) -> Result<SpnSimSetup, EngineError> {
         })
     } else {
         let model = build_model(&spec.system);
-        let mut rewards = RewardSet::new().with_rate(total_cost_reward(&spec.system, &model));
-        for imp in eviction_impulses(&model)? {
-            rewards = rewards.with_impulse(imp);
-        }
+        let rewards = RewardSet {
+            rates: vec![cost_rate_reward(model.state_cost())],
+            impulses: model.rekey_impulses()?,
+        };
         Ok(SpnSimSetup {
             places: model.places,
             net: model.net,
@@ -867,10 +856,10 @@ impl Backend for StochasticBackend {
         progress: &mut dyn FnMut(BatchProgress),
     ) -> Result<RunReport, EngineError> {
         spec.validate()?;
-        // detlint::allow(D002): feeds the report's explicit wall_seconds timing field only
-        let t0 = Instant::now();
-        with_stochastic_task(spec, self.0, |task| {
-            run_stochastic(task, spec, budget, self.0, t0, progress)
+        timed(|| {
+            with_stochastic_task(spec, self.0, |task| {
+                run_stochastic(task, spec, budget, self.0, progress)
+            })
         })
     }
 }
@@ -1298,9 +1287,9 @@ mod tests {
 
     #[test]
     fn replication_budget_below_first_batch_clamps_it() {
-        // Regression (satellite 3): a max_replications cap smaller than
-        // the adaptive plan's first batch must clamp that batch — running
-        // the full `min` would silently overshoot the budget — and report
+        // Regression: a max_replications cap smaller than the adaptive
+        // plan's first batch must clamp that batch — running the full
+        // `min` would silently overshoot the budget — and report
         // target_met = false with the actual count.
         let mut spec = hot_spec(BackendKind::Des);
         spec.stochastic.sampling = SamplingPlan::Adaptive {

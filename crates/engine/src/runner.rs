@@ -106,8 +106,9 @@ impl Runner {
     }
 
     /// Run a batch with **per-spec error isolation**: every spec produces
-    /// either a report or its own error, in spec order — one malformed or
-    /// failing spec never aborts the rest (satellite-1 semantics). Exact
+    /// either a report or its own error, in spec order — a spec that fails
+    /// validation, exploration or its solve yields its own `Err` slot while
+    /// every other spec still runs and reports. Exact
     /// structural families resolve through the template cache (explore
     /// once, solve many, shared across batches on the same runner) and
     /// solve in parallel; stochastic specs run sequentially because each
@@ -372,6 +373,34 @@ mod tests {
     }
 
     #[test]
+    fn fig2_batch_explores_and_builds_pattern_exactly_once() {
+        // The acceptance check for the rebuild-free solve path: a
+        // fig2-shaped rate-only batch (m × TIDS, every point with a
+        // survival grid) costs one cache miss, one state-space exploration
+        // and one CSR pattern build in total — every point re-weights and
+        // refreshes in place.
+        let runner = Runner::new();
+        let mut base = small_spec();
+        base.mission_times = vec![0.0, 1.0e3];
+        let specs = ScenarioGrid::new(base)
+            .vote_participants(&[3, 5, 7, 9])
+            .tids(&[5.0, 30.0, 120.0, 480.0, 1200.0])
+            .expand();
+        let reports = runner.run_batch(&specs).unwrap();
+        assert_eq!(reports.len(), 20);
+        assert!(reports.iter().all(|r| r.survival.is_some()));
+        let stats = runner.cache().stats();
+        assert_eq!((stats.misses, stats.hits), (1, 19));
+        let (template, _) = runner
+            .cache()
+            .lookup(&specs[0], &runner.explore_options())
+            .unwrap();
+        let t = template.expect("flat exact family is cached").stats();
+        assert_eq!(t.explorations, 1, "batch must not re-explore");
+        assert_eq!(t.pattern_builds, 1, "batch must not rebuild the CSR");
+    }
+
+    #[test]
     fn batch_mixes_backends() {
         let mut exact = small_spec();
         exact.system.attacker.base_rate = 1.0 / 600.0;
@@ -434,8 +463,8 @@ mod tests {
 
     #[test]
     fn try_batch_isolates_per_spec_failures() {
-        // Regression (satellite 1): one bad spec must not take down the
-        // batch — every other spec still gets its report.
+        // Regression: one bad spec must not take down the batch — every
+        // other spec still gets its report.
         let mut bad = small_spec();
         bad.system.node_count = 0;
         let mut other = small_spec();
@@ -456,9 +485,9 @@ mod tests {
 
     #[test]
     fn clustered_spec_never_hits_a_flat_family_template() {
-        // Regression (satellite 2): the structural-family key includes the
-        // cluster topology, so a flat-family entry warmed first can never
-        // serve a clustered spec with the same (node_count, max_groups).
+        // Regression: the structural-family key includes the cluster
+        // topology, so a flat-family entry warmed first can never serve a
+        // clustered spec with the same (node_count, max_groups).
         use crate::report::CacheOutcome;
         use crate::service::FamilyKey;
         let topo = gcsids::config::ClusterTopology {

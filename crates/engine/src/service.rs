@@ -68,9 +68,8 @@ use std::time::Duration;
 /// Two exact specs with equal keys share their reachability graph and
 /// CTMC sparsity pattern; only rates and rewards differ, which the
 /// template re-weights in place. The key deliberately includes the
-/// cluster topology (satellite-2 regression: a clustered spec must never
-/// be served from a flat-family entry, even though both share
-/// `node_count`/`max_groups`).
+/// cluster topology: a clustered spec must never be served from a
+/// flat-family entry, even though both share `node_count`/`max_groups`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FamilyKey {
     /// Nodes in the (sub)system.
@@ -504,7 +503,8 @@ fn scan_spool(spool: &Path, tx: &mpsc::SyncSender<Job>) -> Result<Option<usize>,
 /// # Errors
 /// Returns spool/results I/O failures. Per-spec failures do **not**
 /// abort the loop — they are isolated into `<name>.error.json` artifacts
-/// and counted in [`ServiceSummary::failed`] (satellite-1 semantics).
+/// and counted in [`ServiceSummary::failed`], while every other spec
+/// still runs.
 pub fn serve(cfg: &ServiceConfig) -> Result<ServiceSummary, EngineError> {
     fs::create_dir_all(&cfg.spool).map_err(|e| io_err("create spool", &e))?;
     fs::create_dir_all(&cfg.results).map_err(|e| io_err("create results", &e))?;

@@ -8,9 +8,9 @@
 //!
 //! Run with: `cargo run --release -p examples --example adaptive_defense`
 
+use engine::{BackendKind, Runner, ScenarioGrid, ScenarioSpec};
 use examples::row;
 use gcsids::config::SystemConfig;
-use gcsids::sweep::sweep_tids;
 use ids::adaptive::{AdaptiveController, ResponseSurface};
 use ids::functions::RateShape;
 use numerics::dist::sample_exponential;
@@ -58,9 +58,17 @@ fn main() {
         matched_shape.name()
     );
     let matched_cfg = cfg.with_detection_shape(matched_shape);
-    let series =
-        sweep_tids(&matched_cfg, SystemConfig::paper_tids_grid(), "matched").expect("sweep");
-    let surface = ResponseSurface::new(series.mttsf_surface());
+    let grid = SystemConfig::paper_tids_grid();
+    let mut base = ScenarioSpec::paper_default(BackendKind::Exact);
+    base.system = matched_cfg;
+    let specs = ScenarioGrid::new(base).tids(grid).expand();
+    let reports = Runner::new().run_batch(&specs).expect("sweep");
+    let surface = ResponseSurface::new(
+        grid.iter()
+            .zip(&reports)
+            .map(|(&t, r)| (t, r.mttsf.value))
+            .collect(),
+    );
     let profile = controller.recommend(Some(&surface));
     println!(
         "{}",

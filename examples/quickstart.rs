@@ -3,10 +3,10 @@
 //!
 //! Run with: `cargo run --release -p examples --example quickstart`
 
+use engine::{BackendKind, Runner, ScenarioGrid, ScenarioSpec};
 use examples::{pretty_duration, row};
 use gcsids::config::SystemConfig;
 use gcsids::metrics::evaluate;
-use gcsids::sweep::sweep_tids;
 
 fn main() {
     // The paper's §5 parameterization: 100 nodes, 500 m operational radius,
@@ -70,14 +70,24 @@ fn main() {
     );
 
     println!("\n== optimal detection interval (paper grid) ==");
-    let series = sweep_tids(&cfg, SystemConfig::paper_tids_grid(), "default").expect("sweep");
-    for p in &series.points {
+    // One batch over the grid: the runner explores the state space once.
+    let grid = SystemConfig::paper_tids_grid();
+    let mut base = ScenarioSpec::paper_default(BackendKind::Exact);
+    base.system = cfg;
+    let specs = ScenarioGrid::new(base).tids(grid).expand();
+    let reports = Runner::new().run_batch(&specs).expect("sweep");
+    for (t, r) in grid.iter().zip(&reports) {
         println!(
             "  TIDS = {:>5.0} s  →  MTTSF = {:.3e} s, C_total = {:.3e}",
-            p.t_ids, p.evaluation.mttsf_seconds, p.evaluation.c_total_hop_bits_per_sec
+            t, r.mttsf.value, r.c_total.value
         );
     }
-    let best = series.optimal_tids_for_mttsf().expect("non-empty sweep");
-    let cheapest = series.optimal_tids_for_cost().expect("non-empty sweep");
+    let points = || grid.iter().zip(&reports);
+    let (best, _) = points()
+        .max_by(|a, b| a.1.mttsf.value.total_cmp(&b.1.mttsf.value))
+        .expect("non-empty sweep");
+    let (cheapest, _) = points()
+        .min_by(|a, b| a.1.c_total.value.total_cmp(&b.1.c_total.value))
+        .expect("non-empty sweep");
     println!("\nbest TIDS for survivability: {best:.0} s; cheapest TIDS: {cheapest:.0} s");
 }

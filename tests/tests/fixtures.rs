@@ -9,9 +9,11 @@
 //! The `golden-*.json` reports are recomputation goldens: small fixed
 //! plans of committed specs on the stochastic paths no other golden pins
 //! (mobility-DES, clustered SPN-sim, clustered DES, and the DES response
-//! policies). The replication engine is deterministic, so recomputing
-//! them must reproduce the committed bytes exactly (`wall_seconds` is
-//! zeroed); any drift is a behavior change in a backend.
+//! policies), and exact-backend solves of the flat, scenario and clustered
+//! models (both clustered solution paths). Every backend is
+//! deterministic, so recomputing them must reproduce the committed bytes
+//! exactly (`wall_seconds` is zeroed); any drift is a behavior change in
+//! a backend.
 //!
 //! Regenerate after an intentional format or behavior change with:
 //! `cargo test -p integration-tests regenerate_fixtures -- --ignored`
